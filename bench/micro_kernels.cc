@@ -1,19 +1,17 @@
 /**
  * @file
- * google-benchmark microbenchmarks for the CTA kernel library: LSH
- * hashing, cluster-tree maintenance, centroid aggregation,
- * probability aggregation, exact vs CTA attention, and ELSA
- * attention. These measure the *host* implementation (useful for
- * regression tracking of the simulator itself), not accelerator
- * cycles.
+ * GEMM roofline sweep for the compute backends (core/backend.h):
+ * times the naive reference and the simd backend at 1, 2, 4 and 8
+ * threads over 128^3, 256^3 and 512^3, prints each point's fraction
+ * of the measured single-thread FMA peak, and writes the results to
+ * BENCH_micro_kernels.json. Exits 1 when the thread-scaling gate
+ * fails (simd:8 losing to simd:1 beyond noise at any size).
  *
- * Before the google-benchmark suite runs, main() sweeps the GEMM
- * kernel over size x backend x thread count and writes the measured
- * GFLOP/s to BENCH_micro_kernels.json (machine-readable record of
- * the compute-backend speedup; see core/backend.h).
+ * The per-layer kernel timings (LSH hashing, compression, PAG, exact
+ * attention, the linears) live in perfbench's attn_batch workload.
+ *
+ *     ./build/bench/micro_kernels
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -28,10 +26,6 @@
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "core/simd.h"
-#include "cta/compressed_attention.h"
-#include "cta/config.h"
-#include "elsa/elsa_attention.h"
-#include "nn/workload.h"
 #include "obs/trace.h"
 
 namespace {
@@ -39,155 +33,6 @@ namespace {
 using cta::core::Index;
 using cta::core::Matrix;
 using cta::core::Rng;
-
-Matrix
-clusteredTokens(Index n, Index d, std::uint64_t seed)
-{
-    cta::nn::WorkloadProfile profile;
-    profile.seqLen = n;
-    profile.tokenDim = d;
-    profile.coarseClusters = 40;
-    profile.fineClusters = 24;
-    cta::nn::WorkloadGenerator gen(profile, seed);
-    return gen.sampleTokens();
-}
-
-void
-BM_LshHash(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 1);
-    Rng rng(2);
-    const auto params = cta::alg::LshParams::sample(6, 64, 1.0f, rng);
-    for (auto _ : state) {
-        auto h = cta::alg::hashTokens(x, params);
-        benchmark::DoNotOptimize(h);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LshHash)->Arg(128)->Arg(512);
-
-void
-BM_ClusterTree(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 3);
-    Rng rng(4);
-    const auto params = cta::alg::LshParams::sample(6, 64, 1.0f, rng);
-    const auto codes = cta::alg::hashTokens(x, params);
-    for (auto _ : state) {
-        auto table = cta::alg::buildClusterTable(codes);
-        benchmark::DoNotOptimize(table);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ClusterTree)->Arg(128)->Arg(512);
-
-void
-BM_TwoLevelCompression(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 5);
-    Rng rng(6);
-    const auto lsh1 = cta::alg::LshParams::sample(6, 64, 1.0f, rng);
-    const auto lsh2 = cta::alg::LshParams::sample(6, 64, 0.5f, rng);
-    for (auto _ : state) {
-        auto c = cta::alg::compressTwoLevel(x, lsh1, lsh2);
-        benchmark::DoNotOptimize(c);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_TwoLevelCompression)->Arg(128)->Arg(512);
-
-void
-BM_ExactAttention(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 7);
-    Rng rng(8);
-    const auto head =
-        cta::nn::AttentionHeadParams::randomInit(64, 64, rng);
-    for (auto _ : state) {
-        auto out = exactAttention(x, x, head);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_ExactAttention)->Arg(128)->Arg(512);
-
-void
-BM_CtaAttention(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 9);
-    Rng rng(10);
-    const auto head =
-        cta::nn::AttentionHeadParams::randomInit(64, 64, rng);
-    cta::alg::CtaConfig config;
-    config.w0 = 0.8f;
-    config.w1 = 0.8f;
-    config.w2 = 0.4f;
-    for (auto _ : state) {
-        auto out = cta::alg::ctaAttention(x, x, head, config);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_CtaAttention)->Arg(128)->Arg(512);
-
-void
-BM_ElsaAttention(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 11);
-    Rng rng(12);
-    const auto head =
-        cta::nn::AttentionHeadParams::randomInit(64, 64, rng);
-    const auto config = cta::elsa::ElsaConfig::fromPreset(
-        cta::elsa::ElsaPreset::Aggressive);
-    for (auto _ : state) {
-        auto out = cta::elsa::elsaAttention(x, x, head, config);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_ElsaAttention)->Arg(128)->Arg(256);
-
-void
-BM_ProbabilityAggregation(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    const Matrix x = clusteredTokens(n, 64, 13);
-    Rng rng(14);
-    const auto head =
-        cta::nn::AttentionHeadParams::randomInit(64, 64, rng);
-    cta::alg::CtaConfig config;
-    const auto pre = cta::alg::ctaAttention(x, x, head, config);
-    Matrix ap, sums;
-    for (auto _ : state) {
-        cta::alg::aggregateProbabilities(
-            pre.inter.sBar, pre.inter.kvComp.level1.table,
-            pre.inter.kvComp.level2.table, pre.stats.k1, ap, sums);
-        benchmark::DoNotOptimize(ap);
-    }
-    state.SetItemsProcessed(state.iterations() * pre.stats.k0 * n);
-}
-BENCHMARK(BM_ProbabilityAggregation)->Arg(128)->Arg(512);
-
-void
-BM_Gemm(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    Rng rng(15);
-    const Matrix a = Matrix::randomNormal(n, n, rng);
-    const Matrix b = Matrix::randomNormal(n, n, rng);
-    for (auto _ : state) {
-        auto c = matmul(a, b);
-        benchmark::DoNotOptimize(c);
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
 
 /** One GEMM sweep point: median-of-reps wall time on one backend. */
 struct GemmPoint
@@ -322,12 +167,11 @@ retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
  * table against the measured register-resident FMA peak, and writes
  * the results as BENCH_micro_kernels.json in the working directory.
  *
- * Returns false when the thread-scaling gate fails: for each pooled
- * backend family and size, the 8-thread variant must not fall below
- * kScalingTolerance x the 1-thread variant (the PR-7 serial-cutover
- * regression this bench exists to catch). A pair that fails on the
- * sweep numbers is re-timed back-to-back (retimeGemmPair) before
- * being declared a regression.
+ * Returns false when the thread-scaling gate fails: at each size,
+ * simd:8 must not fall below kScalingTolerance x simd:1 (the
+ * serial-cutover regression this bench exists to catch). A pair
+ * that fails on the sweep numbers is re-timed back-to-back
+ * (retimeGemmPair) before being declared a regression.
  */
 bool
 gemmSweep()
@@ -347,9 +191,6 @@ gemmSweep()
     std::vector<std::unique_ptr<cta::core::Backend>> backends;
     backends.push_back(cta::core::makeBackend("naive"));
     for (const int t : {1, 2, 4, 8})
-        backends.push_back(
-            cta::core::makeBackend("parallel:" + std::to_string(t)));
-    for (const int t : {1, 8})
         backends.push_back(
             cta::core::makeBackend("simd:" + std::to_string(t)));
 
@@ -398,15 +239,14 @@ gemmSweep()
                   threads);
     };
     bool scaling_ok = true;
-    const auto checkPair = [&](Index n, const char *family,
-                               const std::string &prefix) {
-        GemmPoint &p1 = pointAt(n, prefix, 1);
-        GemmPoint &p8 = pointAt(n, prefix, 8);
+    const auto checkPair = [&](Index n) {
+        GemmPoint &p1 = pointAt(n, "simd[", 1);
+        GemmPoint &p8 = pointAt(n, "simd[", 8);
         if (p8.gflops >= p1.gflops)
             return;
         const double g1 = p1.gflops, g8 = p8.gflops;
         auto [r1, r8] = retimeGemmPair(
-            backendByName(prefix, 1), backendByName(prefix, 8), n);
+            backendByName("simd[", 1), backendByName("simd[", 8), n);
         // Statistical tie: best-of estimates of one shared floor
         // carry no ordering information inside the measured noise
         // floor — timer quantization (sub-percent at the small sizes)
@@ -418,11 +258,11 @@ gemmSweep()
         // estimator happened to sample closer to it.
         constexpr double kTieFraction = 0.03;
         if (r8 < r1 && r8 >= (1.0 - kTieFraction) * r1) {
-            std::printf("  [%s:8 %.2f vs %s:1 %.2f GFLOP/s at %lld^3 "
-                        "re-timed to %.2f vs %.2f — within %.0f%%, a "
-                        "statistical tie; recording both at the "
-                        "common floor]\n",
-                        family, g8, family, g1,
+            std::printf("  [simd:8 %.2f vs simd:1 %.2f GFLOP/s at "
+                        "%lld^3 re-timed to %.2f vs %.2f — within "
+                        "%.0f%%, a statistical tie; recording both at "
+                        "the common floor]\n",
+                        g8, g1,
                         static_cast<long long>(n), r8, r1,
                         kTieFraction * 100.0);
             r8 = r1 = std::max(r1, r8);
@@ -435,42 +275,35 @@ gemmSweep()
         if (r8 >= r1)
             return;
         if (r8 >= kScalingTolerance * r1) {
-            std::printf("  [%s:8 %.2f vs %s:1 %.2f GFLOP/s at %lld^3 "
-                        "was clock drift; re-timed %.2f vs %.2f]\n",
-                        family, g8, family, g1,
+            std::printf("  [simd:8 %.2f vs simd:1 %.2f GFLOP/s at "
+                        "%lld^3 was clock drift; re-timed %.2f vs "
+                        "%.2f]\n",
+                        g8, g1,
                         static_cast<long long>(n), r8, r1);
             return;
         }
-        std::printf("  SCALING REGRESSION at %lld^3: %s:8 %.2f < "
-                    "%.2f x %s:1 %.2f GFLOP/s (re-timed "
+        std::printf("  SCALING REGRESSION at %lld^3: simd:8 %.2f < "
+                    "%.2f x simd:1 %.2f GFLOP/s (re-timed "
                     "back-to-back)\n",
-                    static_cast<long long>(n), family, r8,
-                    kScalingTolerance, family, r1);
+                    static_cast<long long>(n), r8, kScalingTolerance,
+                    r1);
         scaling_ok = false;
     };
-    for (const Index n : {128, 256, 512}) {
-        checkPair(n, "parallel", "parallel:");
-        checkPair(n, "simd", "simd[");
-    }
+    for (const Index n : {128, 256, 512})
+        checkPair(n);
     if (scaling_ok)
-        std::printf("  thread scaling: OK (parallel:8 >= parallel:1 "
-                    "and simd:8 >= simd:1 at every size, re-timed "
-                    "where the sweep disagreed)\n");
+        std::printf("  thread scaling: OK (simd:8 >= simd:1 at every "
+                    "size, re-timed where the sweep disagreed)\n");
 
-    // Headline ratios: the historical blocked-parallel:4 vs naive
-    // number, plus what this PR is judged by — the simd kernel vs
-    // the best pre-simd backend at 512^3. Each ratio is measured as
-    // a back-to-back pair: sweep points sampled seconds apart sit in
-    // different clock windows on a shared host, and a ratio of two
-    // windows measures the drift, not the kernels.
-    const auto [naive512, par4_512] = retimeGemmPair(
-        backendByName("naive", 1), backendByName("parallel:", 4), 512);
-    const auto [par1_512, simd512] = retimeGemmPair(
-        backendByName("parallel:", 1), backendByName("simd[", 1), 512);
-    std::printf("\n  512^3 parallel:4 vs naive: %.2fx\n",
-                par4_512 / naive512);
-    std::printf("  512^3 simd vs parallel:1: %.2fx\n",
-                simd512 / par1_512);
+    // Headline ratio: the simd kernel against the naive reference at
+    // 512^3, both on one thread. It is measured as a back-to-back
+    // pair: sweep points sampled seconds apart sit in different clock
+    // windows on a shared host, and a ratio of two windows measures
+    // the drift, not the kernels.
+    const auto [naive512, simd512] = retimeGemmPair(
+        backendByName("naive", 1), backendByName("simd[", 1), 512);
+    std::printf("\n  512^3 simd:1 vs naive: %.2fx\n",
+                simd512 / naive512);
 
     std::FILE *out = std::fopen("BENCH_micro_kernels.json", "w");
     if (!out) {
@@ -482,14 +315,13 @@ gemmSweep()
                  "  \"flops_per_mac\": 2,\n"
                  "  \"fma_peak_gflops\": %.1f,\n"
                  "  \"simd_level\": \"%s\",\n"
-                 "  \"speedup_512_parallel4_vs_naive\": %.3f,\n"
-                 "  \"speedup_512_simd_vs_parallel1\": %.3f,\n"
+                 "  \"speedup_512_simd_vs_naive\": %.3f,\n"
                  "  \"scaling_ok\": %s,\n"
                  "  \"results\": [\n",
                  peak,
                  cta::core::simdLevelName(
                      cta::core::activeSimdLevel()),
-                 par4_512 / naive512, simd512 / par1_512,
+                 simd512 / naive512,
                  scaling_ok ? "true" : "false");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto &p = points[i];
@@ -513,17 +345,12 @@ gemmSweep()
 int
 main(int argc, char **argv)
 {
-    // --smoke: run the GEMM sweep and its thread-scaling gate only
-    // (skips the google-benchmark suite); exit non-zero on a
-    // scaling regression so CI fails loudly.
-    if (argc == 2 && std::string(argv[1]) == "--smoke")
-        return gemmSweep() ? 0 : 1;
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s (takes no arguments)\n",
+                     argv[0]);
+        return 2;
+    }
     const bool scaling_ok = gemmSweep();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
     if (cta::obs::writeSidecars("BENCH_micro_kernels"))
         std::printf("  [trace + metrics sidecars written]\n");
     return scaling_ok ? 0 : 1;

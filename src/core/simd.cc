@@ -453,8 +453,12 @@ rowMaxAvx512(const Real *x, Index n)
         return rowMaxScalar(x, n);
     __m512 vm = _mm512_loadu_ps(x);
     Index j = 16;
+    // The all-lanes masked form is the same vmaxps; gcc 12's plain
+    // _mm512_max_ps passes a self-initialized _mm512_undefined_ps()
+    // and trips -Wmaybe-uninitialized.
     for (; j + 16 <= n; j += 16)
-        vm = _mm512_max_ps(vm, _mm512_loadu_ps(x + j));
+        vm = _mm512_mask_max_ps(vm, static_cast<__mmask16>(0xFFFF), vm,
+                                _mm512_loadu_ps(x + j));
     float lanes[16];
     _mm512_storeu_ps(lanes, vm);
     Real m = lanes[0];

@@ -61,7 +61,7 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     }
 
     // Level-1 row-max shift of the level-2 scores: sequential scan,
-    // matching the unfused step() loop comparison for comparison.
+    // matching the reference's loop comparison for comparison.
     if (subtract_row_max) {
         Real row_max = srow[0];
         for (Index j = 1; j < k1; ++j)
@@ -96,7 +96,7 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     // Stage 5 AV accumulation, k-ascending over the cluster rows with
     // the accumulation step class of the active backend's GEMM: FMA
     // when its GEMM fuses (SimdBackend), mul-then-add otherwise —
-    // that is what keeps fused == unfused bitwise under EVERY backend.
+    // that is what keeps fused == reference bitwise under EVERY backend.
     Real *orow = scratch.out.data();
     for (Index j = 0; j < k_total; ++j) {
         const Real w = aprow[j];

@@ -3,7 +3,10 @@
  * Fused online-softmax decode-attention kernel: CTA stages 3-5 for a
  * single query in ONE pass over the cached cluster projections,
  * replacing the materialize-concatenate-multiply pipeline of the
- * unfused decode path (serve/decode_session.cc).
+ * grouped reference: gemmTransposedB scores, scale, row-max shift,
+ * aggregateProbabilitiesGrouped() and an AV gemm, which
+ * tests/fused_decode_test.cc keeps as the reference this kernel is
+ * checked against.
  *
  * What fusion removes per step — all pure overhead, no math:
  *  - the K-bar / V-bar matrix materializations (PagedRows::toMatrix
@@ -12,14 +15,14 @@
  *  - separate full passes for the score scale and the row-max shift.
  *
  * Bit-exactness contract (tests/fused_decode_test.cc): the kernel
- * performs the exact per-element operation sequence of the unfused
- * grouped path — the same Wide k-ascending score chains as
+ * performs the exact per-element operation sequence of the grouped
+ * reference — the same Wide k-ascending score chains as
  * gemmTransposedB, the same cast-then-scale, the same sequential
  * row-max scan, the same pair-ordered exp/aggregate loop with one
  * Wide total chain, and the same k-ascending AV accumulation, using
  * FMA steps when the active backend's GEMM does (fma_chains — see
  * Backend::gemmFmaChains) and mul-then-add steps otherwise. Outputs
- * are therefore bit-identical to the unfused path under EVERY
+ * are therefore bit-identical to the reference under EVERY
  * backend, ISA level and thread count, and OpCounts match exactly.
  *
  * fused_decode.cc is compiled with -ffp-contract=off (see
@@ -61,7 +64,7 @@ struct FusedDecodeScratch
  * Computes the un-normalized decode-attention output of the single
  * query @p q_bar (1 x d) over the cached cluster projections, leaving
  * the result row in @p scratch.out and returning the probability-mass
- * row sum (the unfused path's row_sums(0, 0)). The caller owns the
+ * row sum (the reference's row_sums(0, 0)). The caller owns the
  * shared tail: denominator halving, quality-guard probes and the
  * final normalization.
  *
@@ -76,7 +79,7 @@ struct FusedDecodeScratch
  * @param fma_chains accumulate AV with one-rounding FMA steps (true
  *                   when the active backend's GEMM uses FMA chains)
  *                   instead of mul-then-add steps
- * @param counts     charged exactly as the unfused pipeline charges
+ * @param counts     charged exactly as the reference pipeline charges
  */
 core::Real fusedDecodeAttend(const core::Matrix &q_bar,
                              const core::PagedRows &k_bar1,

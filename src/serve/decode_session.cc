@@ -514,8 +514,8 @@ DecodeSession::step(std::span<const Real> token)
     // mass in row_sum; the normalization tail below is shared.
     const Real *o_row = nullptr;
     Real row_sum = 0;
-    Matrix o_bar; // unfused path's output storage
-    if (config_.groupedAggregation && config_.fusedDecode) {
+    Matrix o_bar; // per-token path's output storage
+    if (config_.groupedAggregation) {
         // Fused kernel: one pass over the paged projection rows — no
         // K-bar/V-bar materialization, no intermediate matrices.
         row_sum = alg::fusedDecodeAttend(
@@ -525,6 +525,8 @@ DecodeSession::step(std::span<const Real> token)
             &ops);
         o_row = fusedScratch_.out.data();
     } else {
+        // Per-token reference: the batch path's exact operation
+        // sequence over materialized K-bar/V-bar tables.
         Matrix k_bar = kBar1_.toMatrix();
         k_bar.appendRows(kBar2_.toMatrix());
         Matrix v_bar = vBar1_.toMatrix();
@@ -546,15 +548,10 @@ DecodeSession::step(std::span<const Real> token)
 
         Matrix ap;
         Matrix row_sums;
-        if (config_.groupedAggregation) {
-            alg::aggregateProbabilitiesGrouped(s_bar, pairs_, k1, ap,
-                                               row_sums, &ops);
-        } else {
-            alg::aggregateProbabilities(
-                s_bar, kv_.level1().clusters().assignments(),
-                kv_.level2().clusters().assignments(), k1, ap,
-                row_sums, &ops);
-        }
+        alg::aggregateProbabilities(
+            s_bar, kv_.level1().clusters().assignments(),
+            kv_.level2().clusters().assignments(), k1, ap, row_sums,
+            &ops);
 
         o_bar = matmul(ap, v_bar, &ops);
         o_row = o_bar.row(0).data();
