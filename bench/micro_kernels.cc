@@ -3,7 +3,9 @@
  * GEMM roofline sweep for the compute backends (core/backend.h):
  * times the naive reference and the simd backend at 1, 2, 4 and 8
  * threads over 128^3, 256^3 and 512^3, prints each point's fraction
- * of the measured single-thread FMA peak, and writes the results to
+ * of the measured single-thread FMA peak, times the transposed-B
+ * score kernel (naive vs simd:1 at 512 x 64 x 512 and
+ * 2048 x 64 x 2048), and writes the results to
  * BENCH_micro_kernels.json. Exits 1 when the thread-scaling gate
  * fails (simd:8 losing to simd:1 beyond noise at any size).
  *
@@ -82,23 +84,20 @@ timeGemm(cta::core::Backend &backend, Index n)
 
 /**
  * Re-times a (baseline, candidate) pair with alternating back-to-back
- * calls and returns best-of GFLOP/s for each. The sweep measures the
+ * calls of @p call (each preceded by an untimed @p reset) and returns
+ * best-of GFLOP/s for each, given @p flops per call. The sweep measures the
  * two configs seconds apart, where sustained clock drift (turbo
  * decay, a noisy co-tenant) can skew either side by 20%+; alternating
  * single calls exposes both to the same machine state, so the gate
  * only fails on genuine scaling regressions.
  */
+template <typename Reset, typename Call>
 std::pair<double, double>
-retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
-               Index n)
+retimePair(cta::core::Backend &base, cta::core::Backend &cand,
+           double flops, const Reset &reset, const Call &call)
 {
-    Rng rng(17);
-    const Matrix a = Matrix::randomNormal(n, n, rng);
-    const Matrix b = Matrix::randomNormal(n, n, rng);
-    Matrix c(n, n);
-    base.gemm(a, b, c);
-    cand.gemm(a, b, c);
-
+    call(base);
+    call(cand);
     // One side's turn: a short block of consecutive calls, best-of.
     // A single alternated call would hand each kernel the OTHER
     // kernel's cache leavings (the blocked and packed kernels walk B
@@ -109,10 +108,10 @@ retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
     constexpr int kCallsPerRound = 3;
     const auto turn = [&](cta::core::Backend &backend) {
         double best = 1e30, total = 0;
-        for (int call = 0; call < kCallsPerRound; ++call) {
-            c.fill(0);
+        for (int rep = 0; rep < kCallsPerRound; ++rep) {
+            reset();
             const auto t0 = std::chrono::steady_clock::now();
-            backend.gemm(a, b, c);
+            call(backend);
             const auto t1 = std::chrono::steady_clock::now();
             const double s =
                 std::chrono::duration<double>(t1 - t0).count();
@@ -158,8 +157,39 @@ retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
         best_cand = std::min(best_cand, sc.first);
         elapsed += sb.second + sc.second;
     }
-    const double flops = 2.0 * static_cast<double>(n) * n * n;
     return {flops / best_base / 1e9, flops / best_cand / 1e9};
+}
+
+/** retimePair() over an n^3 GEMM. */
+std::pair<double, double>
+retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
+               Index n)
+{
+    Rng rng(17);
+    const Matrix a = Matrix::randomNormal(n, n, rng);
+    const Matrix b = Matrix::randomNormal(n, n, rng);
+    Matrix c(n, n);
+    return retimePair(
+        base, cand, 2.0 * static_cast<double>(n) * n * n,
+        [&] { c.fill(0); },
+        [&](cta::core::Backend &backend) { backend.gemm(a, b, c); });
+}
+
+/** retimePair() over C = A * B^T with A m x k and B n x k — the
+ *  shape of a score pass Q . K^T. */
+std::pair<double, double>
+retimeTransBPair(cta::core::Backend &base, cta::core::Backend &cand,
+                 Index m, Index k, Index n)
+{
+    Rng rng(23);
+    const Matrix a = Matrix::randomNormal(m, k, rng);
+    const Matrix b = Matrix::randomNormal(n, k, rng);
+    Matrix c(m, n);
+    return retimePair(
+        base, cand, 2.0 * static_cast<double>(m) * k * n, [] {},
+        [&](cta::core::Backend &backend) {
+            backend.gemmTransposedB(a, b, c);
+        });
 }
 
 /**
@@ -305,6 +335,31 @@ gemmSweep()
     std::printf("\n  512^3 simd:1 vs naive: %.2fx\n",
                 simd512 / naive512);
 
+    // Transposed-B score passes (Q . K^T at head dimension 64): the
+    // naive Wide chain against the simd panel kernel on one thread,
+    // each size a back-to-back pair. Both compute the same bits.
+    struct TransBPoint
+    {
+        Index m, k, n;
+        double naiveGflops, simdGflops;
+    };
+    std::vector<TransBPoint> transb;
+    std::printf("\n==== transposed-B GEMM (C = A * B^T): naive vs "
+                "simd:1 ====\n\n");
+    for (const Index n : {512, 2048}) {
+        const auto [g_naive, g_simd] =
+            retimeTransBPair(backendByName("naive", 1),
+                             backendByName("simd[", 1), n, 64, n);
+        transb.push_back({n, 64, n, g_naive, g_simd});
+        std::printf("  %4lld x 64 x %-4lld naive %7.2f GFLOP/s  simd:1 "
+                    "%7.2f GFLOP/s (%5.1f%% of peak)  %.2fx\n",
+                    static_cast<long long>(n),
+                    static_cast<long long>(n), g_naive, g_simd,
+                    100.0 * g_simd / peak, g_simd / g_naive);
+    }
+    const double transb512 =
+        transb.front().simdGflops / transb.front().naiveGflops;
+
     std::FILE *out = std::fopen("BENCH_micro_kernels.json", "w");
     if (!out) {
         std::printf("  [could not open BENCH_micro_kernels.json]\n");
@@ -316,13 +371,27 @@ gemmSweep()
                  "  \"fma_peak_gflops\": %.1f,\n"
                  "  \"simd_level\": \"%s\",\n"
                  "  \"speedup_512_simd_vs_naive\": %.3f,\n"
+                 "  \"speedup_transb_512_simd_vs_naive\": %.3f,\n"
                  "  \"scaling_ok\": %s,\n"
-                 "  \"results\": [\n",
+                 "  \"transb_results\": [\n",
                  peak,
                  cta::core::simdLevelName(
                      cta::core::activeSimdLevel()),
-                 simd512 / naive512,
+                 simd512 / naive512, transb512,
                  scaling_ok ? "true" : "false");
+    for (std::size_t i = 0; i < transb.size(); ++i) {
+        const auto &p = transb[i];
+        std::fprintf(out,
+                     "    {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
+                     "\"naive_gflops\": %.3f, \"simd1_gflops\": %.3f, "
+                     "\"simd1_peak_fraction\": %.3f}%s\n",
+                     static_cast<long long>(p.m),
+                     static_cast<long long>(p.k),
+                     static_cast<long long>(p.n), p.naiveGflops,
+                     p.simdGflops, p.simdGflops / peak,
+                     i + 1 < transb.size() ? "," : "");
+    }
+    std::fprintf(out, "  ],\n  \"results\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto &p = points[i];
         std::fprintf(out,

@@ -8,6 +8,11 @@
  * session through Batcher::flush (one token per session per round),
  * reporting wall-clock throughput (tokens/s across the batch) and the
  * per-step latency distribution (p50/p95/p99 from ServerStats).
+ * The grid runs once untimed (page faults, pool spin-up, cold
+ * caches) and then kRepetitions times, round-robin, on fresh
+ * sessions; each reported figure is the median over a point's timed
+ * passes, so one cold or preempted pass cannot swing the headline
+ * ratio.
  *
  * The point of the serving layer is that per-step cost is sub-linear
  * in context length — appending a token touches O(l*d) compression
@@ -20,6 +25,7 @@
  * grid so CI can validate the JSON schema in well under a second.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -42,6 +48,8 @@ using cta::core::Rng;
 
 constexpr Index kTokenDim = 64;
 constexpr Index kHeadDim = 64;
+/** Timed passes per grid point (after one untimed warm-up pass). */
+constexpr int kRepetitions = 5;
 
 Matrix
 clusteredTokens(Index n, std::uint64_t seed)
@@ -68,9 +76,10 @@ struct ServePoint
     double p99StepMs = 0;
 };
 
+/** One pass of a grid point on freshly prefilled sessions. */
 ServePoint
-runPoint(const cta::nn::AttentionHeadParams &params, Index batch,
-         Index context, Index steps)
+runPass(const cta::nn::AttentionHeadParams &params, Index batch,
+        Index context, Index steps)
 {
     cta::serve::Batcher batcher;
     for (Index b = 0; b < batch; ++b) {
@@ -112,6 +121,36 @@ runPoint(const cta::nn::AttentionHeadParams &params, Index batch,
     return point;
 }
 
+/** Median of @p values (upper median for an even count). */
+double
+median(std::vector<double> values)
+{
+    const auto mid = values.begin() +
+                     static_cast<std::ptrdiff_t>(values.size() / 2);
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
+}
+
+/** Per-field median of one grid point's timed passes. */
+ServePoint
+medianPoint(const std::vector<ServePoint> &passes)
+{
+    const auto medianOf = [&passes](double ServePoint::*field) {
+        std::vector<double> values;
+        for (const auto &pass : passes)
+            values.push_back(pass.*field);
+        return median(values);
+    };
+    ServePoint point = passes.front();
+    point.wallSeconds = medianOf(&ServePoint::wallSeconds);
+    point.tokensPerSecond = medianOf(&ServePoint::tokensPerSecond);
+    point.meanStepMs = medianOf(&ServePoint::meanStepMs);
+    point.p50StepMs = medianOf(&ServePoint::p50StepMs);
+    point.p95StepMs = medianOf(&ServePoint::p95StepMs);
+    point.p99StepMs = medianOf(&ServePoint::p99StepMs);
+    return point;
+}
+
 } // namespace
 
 int
@@ -133,23 +172,41 @@ main(int argc, char **argv)
     const auto params = cta::nn::AttentionHeadParams::randomInit(
         kTokenDim, kHeadDim, rng);
 
-    std::printf("==== serve throughput: batch x context ====\n\n");
+    std::printf("==== serve throughput: batch x context (median of "
+                "%d passes after a warm-up) ====\n\n",
+                kRepetitions);
     std::printf("  %5s %8s %6s %10s %9s %9s %9s\n", "batch", "context",
                 "steps", "tok/s", "p50 ms", "p95 ms", "p99 ms");
-    std::vector<ServePoint> points;
-    for (const Index context : contexts) {
-        for (const Index batch : batches) {
-            const ServePoint p = runPoint(params, batch, context,
-                                          steps);
-            std::printf("  %5lld %8lld %6lld %10.1f %9.3f %9.3f "
-                        "%9.3f\n",
-                        static_cast<long long>(p.batch),
-                        static_cast<long long>(p.context),
-                        static_cast<long long>(p.steps),
-                        p.tokensPerSecond, p.p50StepMs, p.p95StepMs,
-                        p.p99StepMs);
-            points.push_back(p);
+    // Repetitions run round-robin over the grid, so the passes of one
+    // point are spread over the whole run instead of sharing one
+    // stretch of host state (clock, co-tenants) back to back. Pass 0
+    // is the untimed warm-up.
+    struct GridPoint
+    {
+        Index batch, context;
+        std::vector<ServePoint> passes;
+    };
+    std::vector<GridPoint> grid;
+    for (const Index context : contexts)
+        for (const Index batch : batches)
+            grid.push_back({batch, context, {}});
+    for (int rep = 0; rep <= kRepetitions; ++rep) {
+        for (auto &g : grid) {
+            const ServePoint pass =
+                runPass(params, g.batch, g.context, steps);
+            if (rep > 0)
+                g.passes.push_back(pass);
         }
+    }
+    std::vector<ServePoint> points;
+    for (const auto &g : grid) {
+        const ServePoint p = medianPoint(g.passes);
+        std::printf("  %5lld %8lld %6lld %10.1f %9.3f %9.3f %9.3f\n",
+                    static_cast<long long>(p.batch),
+                    static_cast<long long>(p.context),
+                    static_cast<long long>(p.steps), p.tokensPerSecond,
+                    p.p50StepMs, p.p95StepMs, p.p99StepMs);
+        points.push_back(p);
     }
 
     // Headline: mean step time growth from shortest to longest
@@ -184,13 +241,14 @@ main(int argc, char **argv)
                  "  \"smoke\": %s,\n"
                  "  \"token_dim\": %lld,\n"
                  "  \"head_dim\": %lld,\n"
+                 "  \"repetitions\": %d,\n"
                  "  \"step_time_growth\": %.3f,\n"
                  "  \"context_growth\": %.1f,\n"
                  "  \"results\": [\n",
                  smoke ? "true" : "false",
                  static_cast<long long>(kTokenDim),
-                 static_cast<long long>(kHeadDim), step_growth,
-                 context_growth);
+                 static_cast<long long>(kHeadDim), kRepetitions,
+                 step_growth, context_growth);
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto &p = points[i];
         std::fprintf(

@@ -19,20 +19,21 @@ SortedKeys::SortedKeys(const Matrix &k, core::OpCounts *counts)
     : n_(k.rows()), d_(k.cols()),
       order_(static_cast<std::size_t>(k.rows()) *
              static_cast<std::size_t>(k.cols())),
-      keys_(&k)
+      values_(order_.size())
 {
+    const Real *kd = k.data();
     for (Index j = 0; j < d_; ++j) {
         const auto base = static_cast<std::size_t>(j * n_);
-        std::iota(order_.begin() + static_cast<std::ptrdiff_t>(base),
-                  order_.begin() +
-                      static_cast<std::ptrdiff_t>(base + n_),
-                  Index{0});
-        std::sort(order_.begin() + static_cast<std::ptrdiff_t>(base),
-                  order_.begin() +
-                      static_cast<std::ptrdiff_t>(base + n_),
-                  [&](Index a, Index b) {
-                      return k(a, j) > k(b, j);
-                  });
+        const auto first =
+            order_.begin() + static_cast<std::ptrdiff_t>(base);
+        const auto last = first + static_cast<std::ptrdiff_t>(n_);
+        std::iota(first, last, Index{0});
+        std::sort(first, last, [&](Index a, Index b) {
+            return kd[a * d_ + j] > kd[b * d_ + j];
+        });
+        for (Index r = 0; r < n_; ++r)
+            values_[base + static_cast<std::size_t>(r)] =
+                kd[order_[base + static_cast<std::size_t>(r)] * d_ + j];
     }
     if (counts) {
         // n log2(n) comparisons per dimension (sorting network /
@@ -42,22 +43,6 @@ SortedKeys::SortedKeys(const Matrix &k, core::OpCounts *counts)
         counts->cmps += static_cast<std::uint64_t>(d_) *
                         static_cast<std::uint64_t>(n_) * logn;
     }
-}
-
-Index
-SortedKeys::rankToKey(Index j, Index rank) const
-{
-    CTA_ASSERT(j >= 0 && j < d_ && rank >= 0 && rank < n_,
-               "sorted-key rank out of range");
-    return order_[static_cast<std::size_t>(j) *
-                      static_cast<std::size_t>(n_) +
-                  static_cast<std::size_t>(rank)];
-}
-
-Real
-SortedKeys::rankToValue(Index j, Index rank) const
-{
-    return (*keys_)(rankToKey(j, rank), j);
 }
 
 A3Result
@@ -105,7 +90,9 @@ a3Attention(const Matrix &xq, const Matrix &xkv,
     const auto &span = spans[static_cast<std::size_t>(chunk)];
     std::vector<Real> partial(static_cast<std::size_t>(result.n));
     std::vector<Index> touched;
+    std::vector<Real> scores;
     for (Index i = span.first; i < span.second; ++i) {
+        const Real *qrow = q.row(i).data();
         std::fill(partial.begin(), partial.end(), 0.0f);
         touched.clear();
 
@@ -124,7 +111,7 @@ a3Attention(const Matrix &xq, const Matrix &xkv,
         std::priority_queue<Cursor, std::vector<Cursor>,
                             decltype(cmp)> frontier(cmp);
         for (Index j = 0; j < result.d; ++j) {
-            const Real qj = q(i, j);
+            const Real qj = qrow[j];
             if (qj == 0)
                 continue;
             const Index rank = qj > 0 ? 0 : result.n - 1;
@@ -145,7 +132,7 @@ a3Attention(const Matrix &xq, const Matrix &xkv,
             partial[static_cast<std::size_t>(key)] += top.product;
             approx_ops.adds += 1;
             approx_ops.cmps += 1; // heap maintenance
-            const Real qj = q(i, top.dim);
+            const Real qj = qrow[top.dim];
             const Index next = qj > 0 ? top.rank + 1 : top.rank - 1;
             if (next >= 0 && next < result.n) {
                 frontier.push(Cursor{
@@ -169,11 +156,12 @@ a3Attention(const Matrix &xq, const Matrix &xkv,
 
         // Exact attention over the candidates.
         Real score_max = -1e30f;
-        std::vector<Real> scores(touched.size());
+        scores.resize(touched.size());
         for (std::size_t t = 0; t < touched.size(); ++t) {
+            const Real *krow = k.row(touched[t]).data();
             Wide dot = 0;
             for (Index c = 0; c < result.d; ++c)
-                dot += static_cast<Wide>(q(i, c)) * k(touched[t], c);
+                dot += static_cast<Wide>(qrow[c]) * krow[c];
             scores[t] = static_cast<Real>(dot) * inv_sqrt_d;
             score_max = std::max(score_max, scores[t]);
         }
@@ -187,10 +175,12 @@ a3Attention(const Matrix &xq, const Matrix &xkv,
         attn_ops.exps += touched.size();
         attn_ops.adds += 2 * touched.size();
         const Real inv_denom = static_cast<Real>(1.0 / denom);
+        Real *orow = result.output.row(i).data();
         for (std::size_t t = 0; t < touched.size(); ++t) {
             const Real p = scores[t] * inv_denom;
+            const Real *vrow = v.row(touched[t]).data();
             for (Index c = 0; c < result.d; ++c)
-                result.output(i, c) += p * v(touched[t], c);
+                orow[c] += p * vrow[c];
         }
         attn_ops.muls += touched.size();
         attn_ops.macs += touched.size() *

@@ -22,6 +22,7 @@
 
 #include <vector>
 
+#include "core/logging.h"
 #include "core/matrix.h"
 #include "core/op_counter.h"
 #include "nn/attention.h"
@@ -37,20 +38,36 @@ class SortedKeys
                         core::OpCounts *counts = nullptr);
 
     /** Key index with the r-th largest component in dim @p j. */
-    core::Index rankToKey(core::Index j, core::Index rank) const;
+    core::Index rankToKey(core::Index j, core::Index rank) const
+    {
+        return order_[slot(j, rank)];
+    }
 
     /** The r-th largest component value in dim @p j. */
-    core::Real rankToValue(core::Index j, core::Index rank) const;
+    core::Real rankToValue(core::Index j, core::Index rank) const
+    {
+        return values_[slot(j, rank)];
+    }
 
     core::Index numKeys() const { return n_; }
     core::Index dim() const { return d_; }
 
   private:
+    std::size_t slot(core::Index j, core::Index rank) const
+    {
+        CTA_ASSERT(j >= 0 && j < d_ && rank >= 0 && rank < n_,
+                   "sorted-key rank out of range");
+        return static_cast<std::size_t>(j) *
+                   static_cast<std::size_t>(n_) +
+               static_cast<std::size_t>(rank);
+    }
+
     core::Index n_ = 0;
     core::Index d_ = 0;
     /** order_[j * n + r] = key index of rank r in dimension j. */
     std::vector<core::Index> order_;
-    const core::Matrix *keys_;
+    /** values_[j * n + r] = K(order_[j * n + r], j). */
+    std::vector<core::Real> values_;
 };
 
 /** Tunable parameters of one A^3 evaluation. */

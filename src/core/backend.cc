@@ -68,19 +68,17 @@ gemmTransBRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 /**
- * Blocked A * B^T over output rows [row_begin, row_end): 4 B rows
- * share one pass over the A row, turning the latency-bound single
- * accumulator chain into 4 independent chains. Each output element
- * keeps one accumulator with k ascending — bit-identical to
- * gemmTransBRowsNaive.
+ * Blocked A * B^T for a few rows of A: 4 B rows share one pass over
+ * the A row, turning the latency-bound single accumulator chain into
+ * 4 independent chains. Each output element keeps one accumulator
+ * with k ascending — bit-identical to gemmTransBRowsNaive.
  */
 void
-gemmTransBRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c,
-                      Index row_begin, Index row_end)
+gemmTransBRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c)
 {
     const Index depth = a.cols();
     const Index n = b.rows();
-    for (Index i = row_begin; i < row_end; ++i) {
+    for (Index i = 0; i < a.rows(); ++i) {
         const Real *arow = a.row(i).data();
         Index j = 0;
         for (; j + 4 <= n; j += 4) {
@@ -187,15 +185,27 @@ void
 SimdBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
                              Matrix &c) const
 {
-    if (a.rows() * a.cols() * b.rows() <= kSerialGemmMacs) {
-        gemmTransBRowsBlocked(a, b, c, 0, a.rows());
+    // Short A (fewer than kSimdMr rows, e.g. a decode step): widening
+    // and packing B would cost as much as the product itself, so the
+    // 4-chain scalar kernel runs it. Same chain per element, so the
+    // routing is invisible.
+    if (a.rows() < kSimdMr) {
+        gemmTransBRowsBlocked(a, b, c);
         return;
     }
-    parallelFor(pool(), 0, a.rows(),
-                [&](Index row_begin, Index row_end) {
-                    gemmTransBRowsBlocked(a, b, c, row_begin, row_end);
-                },
-                /*grain=*/4);
+    // Pack once per call; pool tasks then split the OUTPUT COLUMNS
+    // by panel and share the one read-only pack.
+    SimdTransBPack pack;
+    simdPackTransB(a, b, pack);
+    if (a.rows() * a.cols() * b.rows() <= kSerialGemmMacs) {
+        simdGemmTransBPanels(pack, c, 0, pack.panelCount());
+        return;
+    }
+    parallelFor(pool(), 0, pack.panelCount(),
+                [&](Index panel_begin, Index panel_end) {
+                    simdGemmTransBPanels(pack, c, panel_begin,
+                                         panel_end);
+                });
 }
 
 void

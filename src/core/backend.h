@@ -12,15 +12,17 @@
  *  - NaiveBackend: the original single-threaded reference kernels,
  *    kept verbatim as the op-count and bit-exactness reference.
  *  - SimdBackend: the production backend — a packed-panel vectorized
- *    GEMM with runtime ISA dispatch (core/simd.h; CTA_SIMD knob) plus
- *    blocked transposed-B GEMM and row map/reduce, all fanned out over
- *    a persistent thread pool (core/parallel.h). CTA_SIMD=off keeps
- *    it portable: the scalar level runs the same FMA chains.
+ *    GEMM and a Wide-chain transposed-B kernel with runtime ISA
+ *    dispatch (core/simd.h; CTA_SIMD knob) plus row map/reduce, all
+ *    fanned out over a persistent thread pool (core/parallel.h).
+ *    CTA_SIMD=off keeps it portable: the scalar level runs the same
+ *    chains.
  *
  * Determinism contract: every backend produces results that are a
  * pure function of the inputs — independent of thread count. Work is
- * partitioned over OUTPUT rows only and each output element keeps a
- * fixed accumulation order (ascending k); reductions combine
+ * partitioned over OUTPUT elements only (rows, or the transposed-B
+ * kernel's column panels) and each output element keeps a fixed
+ * accumulation order (ascending k); reductions combine
  * per-chunk partials in ascending chunk order with
  * thread-count-independent chunking (core/parallel.h chunkSpans).
  * simd is bit-identical to naive for gemmTransposedB, mapRows and
@@ -122,10 +124,10 @@ class NaiveBackend : public Backend
 };
 
 /**
- * The production backend: the vectorized GEMM from core/simd.h
- * (AVX-512 / AVX2 / NEON with a scalar fallback, dispatched at
- * runtime and forceable via CTA_SIMD) plus blocked transposed-B GEMM
- * and row map/reduce over a persistent thread pool. Every gemm output
+ * The production backend: the vectorized GEMM and Wide-chain
+ * transposed-B kernel from core/simd.h (AVX-512 / AVX2 / NEON with a
+ * scalar fallback, dispatched at runtime and forceable via CTA_SIMD)
+ * plus row map/reduce over a persistent thread pool. Every gemm output
  * element is one k-ascending FMA chain: GEMMs with fewer than
  * kSimdMr rows — every per-token decode GEMM — skip the B pack but
  * keep the identical chain, so a value never depends on shape

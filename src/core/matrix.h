@@ -57,10 +57,12 @@ class Matrix
         return data_.capacity() * sizeof(Real);
     }
 
-    /** Element access (bounds-checked in debug builds). */
+    /** Element access. Out of line and bounds-checked in every
+     *  build, so it costs a call per element: hot loops read rows
+     *  through row() or data() instead. */
     Real &operator()(Index r, Index c);
 
-    /** Element access (bounds-checked in debug builds). */
+    /** Element access (bounds-checked in every build; see above). */
     Real operator()(Index r, Index c) const;
 
     /** Mutable view of one row. */

@@ -956,6 +956,248 @@ vecMatRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
 #endif // CTA_SIMD_NEON
 
 // ---------------------------------------------------------------
+// Wide-chain transposed-B kernels: C = A * B^T with one double chain
+// per output element, k ascending from +0, cast to Real once — the
+// naive reference's numerics. Lanes run across OUTPUT COLUMNS of a
+// packed B^T panel, so a vector FMA advances kTP independent chains
+// by one k step each. A float x float product is exact in double
+// (24 + 24 significand bits < 53), so fma(a, b, acc) rounds exactly
+// like acc + a * b: every level below, and the scalar mul-then-add
+// fallback, is bit-identical to the reference.
+// ---------------------------------------------------------------
+
+constexpr Index kTP = kSimdTransBPanel;
+
+/** Rows of A per cache block: 128 widened rows (64 KB at K = 64)
+ *  stay L2-resident while every panel of the task passes over them,
+ *  so A is streamed once per block instead of once per panel. */
+constexpr Index kTransBRowBlock = 128;
+
+/** Computes @p rows output rows of one panel: c[r * ldc + t] for
+ *  t < @p lanes from widened A rows a[r * depth ..]. */
+using TransBRowsFn = void (*)(const Wide *a, Index rows, Index depth,
+                              const Wide *panel, Real *c, Index ldc,
+                              Index lanes);
+
+/** Stores @p lanes (1..kTP) Wide accumulators of one output row,
+ *  cast to Real. */
+inline void
+storeWideRow(const Wide *acc, Real *c, Index lanes)
+{
+    for (Index t = 0; t < lanes; ++t)
+        c[t] = static_cast<Real>(acc[t]);
+}
+
+void
+transBRowsScalar(const Wide *a, Index rows, Index depth,
+                 const Wide *panel, Real *c, Index ldc, Index lanes)
+{
+    for (Index r = 0; r < rows; ++r) {
+        const Wide *arow = a + r * depth;
+        Wide acc[kTP];
+        // Eight chains per depth pass: enough independent adds to
+        // hide the add latency, few enough to stay in registers.
+        for (Index t0 = 0; t0 < kTP; t0 += 8) {
+            Wide part[8] = {};
+            for (Index k = 0; k < depth; ++k) {
+                const Wide ak = arow[k];
+                const Wide *bk = panel + k * kTP + t0;
+                for (Index t = 0; t < 8; ++t)
+                    part[t] += ak * bk[t];
+            }
+            std::memcpy(acc + t0, part, sizeof(part));
+        }
+        storeWideRow(acc, c + r * ldc, lanes);
+    }
+}
+
+/** The shared loop nest: row blocks outer, the task's panels inner,
+ *  @p rows_fn over each (block, panel) tile. */
+void
+transBPanels(const SimdTransBPack &pack, Matrix &c, Index panel_begin,
+             Index panel_end, TransBRowsFn rows_fn)
+{
+    const Index depth = pack.depth;
+    const Index ldc = pack.cols;
+    for (Index i0 = 0; i0 < pack.rows; i0 += kTransBRowBlock) {
+        const Index rows = std::min(kTransBRowBlock, pack.rows - i0);
+        for (Index p = panel_begin; p < panel_end; ++p) {
+            const Index j0 = p * kTP;
+            rows_fn(pack.a.data() + i0 * depth, rows, depth,
+                    pack.panels.data() + p * depth * kTP,
+                    c.data() + i0 * ldc + j0, ldc,
+                    std::min(kTP, pack.cols - j0));
+        }
+    }
+}
+
+#if CTA_SIMD_X86
+
+/** R rows x kTP columns on AVX-512: 2R zmm chains live across the
+ *  whole depth, fed by two panel loads and R broadcasts per k. */
+template <int R>
+__attribute__((target("avx512f"))) void
+transBMicroAvx512(const Wide *a, Index depth, const Wide *panel,
+                  Real *c, Index ldc, Index lanes)
+{
+    __m512d acc[R][2];
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r)
+        acc[r][0] = acc[r][1] = _mm512_setzero_pd();
+    for (Index k = 0; k < depth; ++k) {
+        const __m512d b0 = _mm512_loadu_pd(panel + k * kTP);
+        const __m512d b1 = _mm512_loadu_pd(panel + k * kTP + 8);
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r) {
+            const __m512d av = _mm512_set1_pd(a[r * depth + k]);
+            acc[r][0] = _mm512_fmadd_pd(av, b0, acc[r][0]);
+            acc[r][1] = _mm512_fmadd_pd(av, b1, acc[r][1]);
+        }
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+        // The all-lanes zero-masked form is the same vcvtpd2ps; gcc
+        // 12's plain _mm512_cvtpd_ps trips -Wuninitialized (see
+        // rowMaxAvx512).
+        Real *crow = c + r * ldc;
+        const __m256 lo = _mm512_maskz_cvtpd_ps(
+            static_cast<__mmask8>(0xFF), acc[r][0]);
+        const __m256 hi = _mm512_maskz_cvtpd_ps(
+            static_cast<__mmask8>(0xFF), acc[r][1]);
+        if (lanes == kTP) {
+            _mm256_storeu_ps(crow, lo);
+            _mm256_storeu_ps(crow + 8, hi);
+        } else {
+            Real tmp[kTP];
+            _mm256_storeu_ps(tmp, lo);
+            _mm256_storeu_ps(tmp + 8, hi);
+            std::memcpy(crow, tmp,
+                        static_cast<std::size_t>(lanes) * sizeof(Real));
+        }
+    }
+}
+
+void
+transBRowsAvx512(const Wide *a, Index rows, Index depth,
+                 const Wide *panel, Real *c, Index ldc, Index lanes)
+{
+    Index r = 0;
+    for (; r + 8 <= rows; r += 8)
+        transBMicroAvx512<8>(a + r * depth, depth, panel, c + r * ldc,
+                             ldc, lanes);
+    for (; r + 4 <= rows; r += 4)
+        transBMicroAvx512<4>(a + r * depth, depth, panel, c + r * ldc,
+                             ldc, lanes);
+    for (; r < rows; ++r)
+        transBMicroAvx512<1>(a + r * depth, depth, panel, c + r * ldc,
+                             ldc, lanes);
+}
+
+/** R rows x kTP columns on AVX2: 4R ymm chains (R <= 2 keeps the
+ *  four panel vectors and one broadcast in the 16-register file). */
+template <int R>
+__attribute__((target("avx2,fma"))) void
+transBMicroAvx2(const Wide *a, Index depth, const Wide *panel, Real *c,
+                Index ldc, Index lanes)
+{
+    __m256d acc[R][4];
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r)
+        acc[r][0] = acc[r][1] = acc[r][2] = acc[r][3] =
+            _mm256_setzero_pd();
+    for (Index k = 0; k < depth; ++k) {
+        const Wide *bk = panel + k * kTP;
+        const __m256d b0 = _mm256_loadu_pd(bk);
+        const __m256d b1 = _mm256_loadu_pd(bk + 4);
+        const __m256d b2 = _mm256_loadu_pd(bk + 8);
+        const __m256d b3 = _mm256_loadu_pd(bk + 12);
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r) {
+            const __m256d av = _mm256_set1_pd(a[r * depth + k]);
+            acc[r][0] = _mm256_fmadd_pd(av, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_pd(av, b1, acc[r][1]);
+            acc[r][2] = _mm256_fmadd_pd(av, b2, acc[r][2]);
+            acc[r][3] = _mm256_fmadd_pd(av, b3, acc[r][3]);
+        }
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+        Real tmp[kTP];
+        for (int g = 0; g < 4; ++g)
+            _mm_storeu_ps(tmp + 4 * g, _mm256_cvtpd_ps(acc[r][g]));
+        std::memcpy(c + r * ldc, tmp,
+                    static_cast<std::size_t>(lanes) * sizeof(Real));
+    }
+}
+
+void
+transBRowsAvx2(const Wide *a, Index rows, Index depth, const Wide *panel,
+               Real *c, Index ldc, Index lanes)
+{
+    Index r = 0;
+    for (; r + 2 <= rows; r += 2)
+        transBMicroAvx2<2>(a + r * depth, depth, panel, c + r * ldc, ldc,
+                           lanes);
+    for (; r < rows; ++r)
+        transBMicroAvx2<1>(a + r * depth, depth, panel, c + r * ldc, ldc,
+                           lanes);
+}
+
+#endif // CTA_SIMD_X86
+
+#if CTA_SIMD_NEON
+
+/** R rows x kTP columns on NEON: 8R float64x2 chains (R <= 2 keeps
+ *  the eight panel vectors in the 32-register file). */
+template <int R>
+void
+transBMicroNeon(const Wide *a, Index depth, const Wide *panel, Real *c,
+                Index ldc, Index lanes)
+{
+    float64x2_t acc[R][8];
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r)
+        for (int g = 0; g < 8; ++g)
+            acc[r][g] = vdupq_n_f64(0.0);
+    for (Index k = 0; k < depth; ++k) {
+        const Wide *bk = panel + k * kTP;
+        float64x2_t b[8];
+#pragma GCC unroll 8
+        for (int g = 0; g < 8; ++g)
+            b[g] = vld1q_f64(bk + 2 * g);
+#pragma GCC unroll 16
+        for (int r = 0; r < R; ++r) {
+            const float64x2_t av = vdupq_n_f64(a[r * depth + k]);
+#pragma GCC unroll 8
+            for (int g = 0; g < 8; ++g)
+                acc[r][g] = vfmaq_f64(acc[r][g], av, b[g]);
+        }
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+        Wide tmp[kTP];
+        for (int g = 0; g < 8; ++g)
+            vst1q_f64(tmp + 2 * g, acc[r][g]);
+        storeWideRow(tmp, c + r * ldc, lanes);
+    }
+}
+
+void
+transBRowsNeon(const Wide *a, Index rows, Index depth, const Wide *panel,
+               Real *c, Index ldc, Index lanes)
+{
+    Index r = 0;
+    for (; r + 2 <= rows; r += 2)
+        transBMicroNeon<2>(a + r * depth, depth, panel, c + r * ldc, ldc,
+                           lanes);
+    for (; r < rows; ++r)
+        transBMicroNeon<1>(a + r * depth, depth, panel, c + r * ldc, ldc,
+                           lanes);
+}
+
+#endif // CTA_SIMD_NEON
+
+// ---------------------------------------------------------------
 // Register-resident FMA peak loops (roofline ceiling). 16
 // independent chains cover the FMA latency x throughput product on
 // every target; the sink return defeats dead-code elimination.
@@ -1418,6 +1660,53 @@ simdVecMatRows(const Matrix &a, const Matrix &b, Matrix &c,
     default:
         vecMatRowsScalar(a, b, c, row_begin, row_end);
     }
+}
+
+void
+simdPackTransB(const Matrix &a, const Matrix &b, SimdTransBPack &pack)
+{
+    CTA_REQUIRE(a.cols() == b.cols(), "simdPackTransB depth mismatch: ",
+                a.cols(), " vs ", b.cols());
+    pack.rows = a.rows();
+    pack.depth = a.cols();
+    pack.cols = b.rows();
+    pack.a.assign(a.data(), a.data() + a.size());
+    pack.panels.assign(static_cast<std::size_t>(pack.panelCount()) *
+                           static_cast<std::size_t>(pack.depth) *
+                           static_cast<std::size_t>(kTP),
+                       0.0);
+    for (Index j = 0; j < pack.cols; ++j) {
+        Wide *panel = pack.panels.data() + (j / kTP) * pack.depth * kTP;
+        const Index t = j % kTP;
+        const Real *brow = b.row(j).data();
+        for (Index k = 0; k < pack.depth; ++k)
+            panel[k * kTP + t] = brow[k];
+    }
+}
+
+void
+simdGemmTransBPanels(const SimdTransBPack &pack, Matrix &c,
+                     Index panel_begin, Index panel_end)
+{
+    TransBRowsFn rows_fn = transBRowsScalar;
+    switch (activeSimdLevel()) {
+#if CTA_SIMD_X86
+    case SimdLevel::Avx512:
+        rows_fn = transBRowsAvx512;
+        break;
+    case SimdLevel::Avx2:
+        rows_fn = transBRowsAvx2;
+        break;
+#endif
+#if CTA_SIMD_NEON
+    case SimdLevel::Neon:
+        rows_fn = transBRowsNeon;
+        break;
+#endif
+    default:
+        break;
+    }
+    transBPanels(pack, c, panel_begin, panel_end, rows_fn);
 }
 
 } // namespace cta::core

@@ -28,6 +28,11 @@
  *    bit-identical across every ISA level and thread count — it
  *    differs from the naive (mul+add) reference chain only by the
  *    removed intermediate roundings.
+ *  - simdGemmTransBPanels: per output element ONE k-ascending Wide
+ *    (double) chain, vectorized across output columns. A float x
+ *    float product is exact in double, so its FMA rounds exactly like
+ *    the reference's multiply-then-add: bit-identical to the naive
+ *    transposed-B kernel, not merely across levels.
  *
  * Selection: resolved once from the CTA_SIMD environment variable
  * ("auto" by default; "off"/"scalar", "avx2", "avx512", "neon" force
@@ -154,5 +159,48 @@ void simdGemmRowsPacked(const Matrix &a, const Real *packed,
  */
 void simdVecMatRows(const Matrix &a, const Matrix &b, Matrix &c,
                     Index row_begin, Index row_end);
+
+/** Column-panel width of the Wide-chain transposed-B kernel. */
+inline constexpr Index kSimdTransBPanel = 16;
+
+/**
+ * The operands of one C = A * B^T call, widened to Wide once and
+ * shared read-only by every panel task: A row-major, and B^T cut
+ * into kSimdTransBPanel-wide column panels (panel p holds, for
+ * k = 0..K-1, the Wide values B[p*W + t][k], t = 0..W-1, zero-padded
+ * past the last column). Widening a float is exact, so packing
+ * cannot change a bit of the result.
+ */
+struct SimdTransBPack
+{
+    std::vector<Wide> a;      ///< rows x depth, row-major
+    std::vector<Wide> panels; ///< panelCount() x depth x panel width
+    Index rows = 0;           ///< rows of A (and of C)
+    Index depth = 0;          ///< shared inner dimension K
+    Index cols = 0;           ///< rows of B (columns of C)
+
+    Index panelCount() const
+    {
+        return (cols + kSimdTransBPanel - 1) / kSimdTransBPanel;
+    }
+};
+
+/** Fills @p pack from A (m x K) and B (n x K). */
+void simdPackTransB(const Matrix &a, const Matrix &b,
+                    SimdTransBPack &pack);
+
+/**
+ * C = A * B^T over the output columns of panels
+ * [@p panel_begin, @p panel_end), all rows. Each element is ONE Wide
+ * chain, k ascending from +0, cast to Real once — the naive
+ * reference's chain. The vector levels run kSimdTransBPanel chains
+ * side by side across output columns; a float x float product is
+ * exact in Wide, so their fused multiply-add rounds exactly like the
+ * reference's multiply-then-add. The result is therefore bit-identical
+ * to the naive kernel at every ISA level, panel partition and thread
+ * count.
+ */
+void simdGemmTransBPanels(const SimdTransBPack &pack, Matrix &c,
+                          Index panel_begin, Index panel_end);
 
 } // namespace cta::core

@@ -100,35 +100,32 @@ elsaAttention(const Matrix &xq, const Matrix &xkv,
     };
     const auto spans = core::chunkSpans(0, result.m, /*grain=*/8);
     std::vector<QueryChunkPartial> partials(spans.size());
+    // LUT cosines: norm_q * norm_k * cos_lut[h] == estimateDot(h, ...).
+    const std::vector<Real> cos_lut = hammingCosineTable(config.hashBits);
     core::ThreadPool::global().run(
         static_cast<Index>(spans.size()), [&](Index chunk) {
             auto &partial = partials[static_cast<std::size_t>(chunk)];
             auto &approx_ops = partial.approx;
             auto &attn_ops = partial.attn;
             const auto &span = spans[static_cast<std::size_t>(chunk)];
+            std::vector<Real> estimates(static_cast<std::size_t>(result.n));
             std::vector<Index> kept;
+            std::vector<Real> scores;
             kept.reserve(static_cast<std::size_t>(result.n));
+            scores.reserve(static_cast<std::size_t>(result.n));
             for (Index i = span.first; i < span.second; ++i) {
+                const Real *qrow = q.row(i).data();
                 const Real norm_q =
                     std::sqrt(core::squaredNorm(q.row(i)));
                 approx_ops.macs +=
                     static_cast<std::uint64_t>(result.d);
                 // Estimate all n scores from Hamming distances.
                 Real best = -1e30f;
-                std::vector<Real> estimates(
-                    static_cast<std::size_t>(result.n));
                 for (Index j = 0; j < result.n; ++j) {
-                    Index ham = 0;
-                    for (Index b = 0; b < config.hashBits; ++b) {
-                        ham += query_sigs.bit(i, b) !=
-                                       key_sigs.bit(j, b)
-                                   ? 1
-                                   : 0;
-                    }
+                    const Index ham = query_sigs.hamming(i, key_sigs, j);
                     const Real est =
-                        estimateDot(
-                            ham, config.hashBits, norm_q,
-                            key_norms[static_cast<std::size_t>(j)]) *
+                        norm_q * key_norms[static_cast<std::size_t>(j)] *
+                        cos_lut[static_cast<std::size_t>(ham)] *
                         inv_sqrt_d;
                     estimates[static_cast<std::size_t>(j)] = est;
                     best = std::max(best, est);
@@ -164,12 +161,12 @@ elsaAttention(const Matrix &xq, const Matrix &xkv,
 
                 // Exact attention over survivors.
                 Real score_max = -1e30f;
-                std::vector<Real> scores(kept.size());
+                scores.resize(kept.size());
                 for (std::size_t t = 0; t < kept.size(); ++t) {
-                    const Index j = kept[t];
+                    const Real *krow = k.row(kept[t]).data();
                     Wide dot = 0;
                     for (Index c = 0; c < result.d; ++c)
-                        dot += static_cast<Wide>(q(i, c)) * k(j, c);
+                        dot += static_cast<Wide>(qrow[c]) * krow[c];
                     scores[t] = static_cast<Real>(dot) * inv_sqrt_d;
                     score_max = std::max(score_max, scores[t]);
                 }
@@ -188,11 +185,12 @@ elsaAttention(const Matrix &xq, const Matrix &xkv,
 
                 const Real inv_denom =
                     static_cast<Real>(1.0 / denom);
+                Real *orow = result.output.row(i).data();
                 for (std::size_t t = 0; t < kept.size(); ++t) {
-                    const Index j = kept[t];
                     const Real p = scores[t] * inv_denom;
+                    const Real *vrow = v.row(kept[t]).data();
                     for (Index c = 0; c < result.d; ++c)
-                        result.output(i, c) += p * v(j, c);
+                        orow[c] += p * vrow[c];
                 }
                 attn_ops.divs += 1;
                 attn_ops.muls += kept.size();

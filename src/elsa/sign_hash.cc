@@ -48,16 +48,26 @@ SignatureMatrix::bit(Index r, Index b) const
 Index
 SignatureMatrix::hamming(Index a, Index b) const
 {
-    CTA_ASSERT(a >= 0 && a < rows_ && b >= 0 && b < rows_,
+    return hamming(a, *this, b);
+}
+
+Index
+SignatureMatrix::hamming(Index a, const SignatureMatrix &other,
+                         Index b) const
+{
+    CTA_ASSERT(bits_ == other.bits_, "signature widths differ: ", bits_,
+               " vs ", other.bits_);
+    CTA_ASSERT(a >= 0 && a < rows_ && b >= 0 && b < other.rows_,
                "signature row out of range");
+    // Bits past kappa in the last word are never set, so they cancel
+    // in the XOR.
+    const std::uint64_t *wa =
+        words_.data() + static_cast<std::size_t>(a * wordsPerRow_);
+    const std::uint64_t *wb = other.words_.data() +
+                              static_cast<std::size_t>(b * wordsPerRow_);
     Index distance = 0;
-    for (Index w = 0; w < wordsPerRow_; ++w) {
-        const auto xa =
-            words_[static_cast<std::size_t>(a * wordsPerRow_ + w)];
-        const auto xb =
-            words_[static_cast<std::size_t>(b * wordsPerRow_ + w)];
-        distance += std::popcount(xa ^ xb);
-    }
+    for (Index w = 0; w < wordsPerRow_; ++w)
+        distance += std::popcount(wa[w] ^ wb[w]);
     return distance;
 }
 
@@ -94,12 +104,33 @@ signHash(const Matrix &x, const SignHashParams &params,
     return sig;
 }
 
+namespace {
+
+/** The estimated angle pi * hamming / kappa. */
+Real
+hammingAngle(Index hamming_dist, Index kappa)
+{
+    return std::numbers::pi_v<Real> * static_cast<Real>(hamming_dist) /
+           static_cast<Real>(kappa);
+}
+
+} // namespace
+
 Real
 estimateDot(Index hamming_dist, Index kappa, Real norm_q, Real norm_k)
 {
-    const Real theta = std::numbers::pi_v<Real> *
-        static_cast<Real>(hamming_dist) / static_cast<Real>(kappa);
-    return norm_q * norm_k * std::cos(theta);
+    return norm_q * norm_k * std::cos(hammingAngle(hamming_dist, kappa));
+}
+
+std::vector<Real>
+hammingCosineTable(Index kappa)
+{
+    CTA_REQUIRE(kappa > 0, "bad signature width ", kappa);
+    std::vector<Real> table(static_cast<std::size_t>(kappa + 1));
+    for (Index h = 0; h <= kappa; ++h)
+        table[static_cast<std::size_t>(h)] =
+            std::cos(hammingAngle(h, kappa));
+    return table;
 }
 
 } // namespace cta::elsa

@@ -50,6 +50,12 @@ class SignatureMatrix
     /** Hamming distance between signatures @p a and @p b. */
     core::Index hamming(core::Index a, core::Index b) const;
 
+    /** Hamming distance between signature @p a of this matrix and
+     *  signature @p b of @p other (same kappa): XOR + popcount per
+     *  signature word. */
+    core::Index hamming(core::Index a, const SignatureMatrix &other,
+                        core::Index b) const;
+
   private:
     core::Index rows_ = 0;
     core::Index bits_ = 0;
@@ -80,5 +86,13 @@ SignatureMatrix signHash(const core::Matrix &x,
 /** cos(pi * hamming / kappa) similarity estimate scaled by norms. */
 core::Real estimateDot(core::Index hamming_dist, core::Index kappa,
                        core::Real norm_q, core::Real norm_k);
+
+/**
+ * The kappa + 1 cosines estimateDot() evaluates: entry h is
+ * cos(pi * h / kappa) from the same angle expression, so
+ * norm_q * norm_k * table[h] == estimateDot(h, kappa, norm_q, norm_k)
+ * bit for bit — the LUT of ELSA's candidate-selection module.
+ */
+std::vector<core::Real> hammingCosineTable(core::Index kappa);
 
 } // namespace cta::elsa

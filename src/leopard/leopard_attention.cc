@@ -25,19 +25,29 @@ calibrateLeopard(const Matrix &sample_tokens,
     // For each candidate margin, measure the softmax mass retained;
     // pick the smallest margin meeting the target (the quantity
     // LeOPArd's gradient training converges to).
+    const Index m = trace.scores.rows();
+    const Index n = trace.scores.cols();
+    std::vector<Real> row_max(static_cast<std::size_t>(m));
+    for (Index i = 0; i < m; ++i) {
+        const Real *srow = trace.scores.row(i).data();
+        Real best = srow[0];
+        for (Index j = 1; j < n; ++j)
+            best = std::max(best, srow[j]);
+        row_max[static_cast<std::size_t>(i)] = best;
+    }
     LeopardConfig config;
     for (const Real margin :
          {1.0f, 1.5f, 2.0f, 2.5f, 3.0f, 3.5f, 4.0f, 4.6f, 5.5f,
           6.9f}) {
         Wide kept_mass = 0;
-        const Index m = trace.scores.rows();
         for (Index i = 0; i < m; ++i) {
-            Real row_max = trace.scores(i, 0);
-            for (Index j = 1; j < trace.scores.cols(); ++j)
-                row_max = std::max(row_max, trace.scores(i, j));
-            for (Index j = 0; j < trace.scores.cols(); ++j) {
-                if (trace.scores(i, j) >= row_max - margin)
-                    kept_mass += trace.probs(i, j);
+            const Real *srow = trace.scores.row(i).data();
+            const Real *prow = trace.probs.row(i).data();
+            const Real threshold =
+                row_max[static_cast<std::size_t>(i)] - margin;
+            for (Index j = 0; j < n; ++j) {
+                if (srow[j] >= threshold)
+                    kept_mass += prow[j];
             }
         }
         kept_mass /= m;
@@ -77,6 +87,12 @@ leopardAttention(const Matrix &xq, const Matrix &xkv,
         static_cast<std::uint64_t>(result.n) *
         static_cast<std::uint64_t>(config.scoreBits);
 
+    // Bit-serial score pass: every pair is touched; survivors consume
+    // all bit-planes, pruned keys terminate early. The functional
+    // result is the exact score for survivors — each one Wide chain,
+    // cast once, then scaled.
+    Matrix scores = core::matmulTransB(q, k);
+
     // Per-query fan-out over chunks of the query range (see
     // core/parallel.h): per-chunk partials reduce in ascending chunk
     // order after the join, keeping counts thread-count-invariant.
@@ -90,65 +106,64 @@ leopardAttention(const Matrix &xq, const Matrix &xkv,
     std::vector<QueryChunkPartial> partials(spans.size());
     core::ThreadPool::global().run(
         static_cast<Index>(spans.size()), [&](Index chunk) {
-    auto &acc = partials[static_cast<std::size_t>(chunk)];
-    auto &attn_ops = acc.attn;
-    const auto &span = spans[static_cast<std::size_t>(chunk)];
-    std::vector<Real> scores(static_cast<std::size_t>(result.n));
-    for (Index i = span.first; i < span.second; ++i) {
-        // Bit-serial score pass: every pair is touched; survivors
-        // consume all bit-planes, pruned keys terminate early. The
-        // functional result is the exact score for survivors.
-        Real row_max = -1e30f;
-        for (Index j = 0; j < result.n; ++j) {
-            Wide dot = 0;
-            for (Index c = 0; c < result.d; ++c)
-                dot += static_cast<Wide>(q(i, c)) * k(j, c);
-            scores[static_cast<std::size_t>(j)] =
-                static_cast<Real>(dot) * inv_sqrt_d;
-            row_max = std::max(row_max,
-                               scores[static_cast<std::size_t>(j)]);
-        }
-        // The paper tracks a running max from already-seen keys; the
-        // end-of-row max is the steady-state approximation.
-        const Real threshold = row_max - config.margin;
+            auto &acc = partials[static_cast<std::size_t>(chunk)];
+            auto &attn_ops = acc.attn;
+            const auto &span = spans[static_cast<std::size_t>(chunk)];
+            // Survivor keys and their exp(s - max), reused per query.
+            std::vector<Index> kept;
+            std::vector<Real> weights;
+            kept.reserve(static_cast<std::size_t>(result.n));
+            weights.reserve(static_cast<std::size_t>(result.n));
+            for (Index i = span.first; i < span.second; ++i) {
+                Real *srow = scores.row(i).data();
+                Real row_max = -1e30f;
+                for (Index j = 0; j < result.n; ++j) {
+                    srow[j] *= inv_sqrt_d;
+                    row_max = std::max(row_max, srow[j]);
+                }
+                // The paper tracks a running max from already-seen
+                // keys; the end-of-row max is the steady-state
+                // approximation.
+                const Real threshold = row_max - config.margin;
 
-        Wide denom = 0;
-        Index kept = 0;
-        std::vector<bool> keep(static_cast<std::size_t>(result.n));
-        for (Index j = 0; j < result.n; ++j) {
-            const bool survives =
-                scores[static_cast<std::size_t>(j)] >= threshold;
-            keep[static_cast<std::size_t>(j)] = survives;
-            acc.bitPlanes += survives
-                ? static_cast<std::uint64_t>(config.scoreBits)
-                : static_cast<std::uint64_t>(
-                      config.earlyTerminationBits);
-            if (!survives)
-                continue;
-            ++kept;
-            denom += std::exp(
-                scores[static_cast<std::size_t>(j)] - row_max);
-        }
-        CTA_ASSERT(kept > 0, "threshold pruned every key");
-        acc.keepSum += static_cast<Wide>(kept) / result.n;
-        attn_ops.exps += 2ull * static_cast<std::uint64_t>(kept);
-        attn_ops.adds += static_cast<std::uint64_t>(kept);
+                Wide denom = 0;
+                kept.clear();
+                weights.clear();
+                for (Index j = 0; j < result.n; ++j) {
+                    const bool survives = srow[j] >= threshold;
+                    acc.bitPlanes += survives
+                        ? static_cast<std::uint64_t>(config.scoreBits)
+                        : static_cast<std::uint64_t>(
+                              config.earlyTerminationBits);
+                    if (!survives)
+                        continue;
+                    const Real e = std::exp(srow[j] - row_max);
+                    kept.push_back(j);
+                    weights.push_back(e);
+                    denom += e;
+                }
+                CTA_ASSERT(!kept.empty(), "threshold pruned every key");
+                const auto n_kept =
+                    static_cast<std::uint64_t>(kept.size());
+                acc.keepSum += static_cast<Wide>(kept.size()) / result.n;
+                // The datapath evaluates each survivor's exponential
+                // twice (denominator pass, then weighting pass).
+                attn_ops.exps += 2ull * n_kept;
+                attn_ops.adds += n_kept;
 
-        const Real inv_denom = static_cast<Real>(1.0 / denom);
-        for (Index j = 0; j < result.n; ++j) {
-            if (!keep[static_cast<std::size_t>(j)])
-                continue;
-            const Real p =
-                std::exp(scores[static_cast<std::size_t>(j)] -
-                         row_max) * inv_denom;
-            for (Index c = 0; c < result.d; ++c)
-                result.output(i, c) += p * v(j, c);
-            attn_ops.macs +=
-                static_cast<std::uint64_t>(result.d);
-            attn_ops.muls += 1;
-        }
-        attn_ops.divs += 1;
-    }
+                const Real inv_denom = static_cast<Real>(1.0 / denom);
+                Real *orow = result.output.row(i).data();
+                for (std::size_t t = 0; t < kept.size(); ++t) {
+                    const Real p = weights[t] * inv_denom;
+                    const Real *vrow = v.row(kept[t]).data();
+                    for (Index c = 0; c < result.d; ++c)
+                        orow[c] += p * vrow[c];
+                }
+                attn_ops.macs +=
+                    n_kept * static_cast<std::uint64_t>(result.d);
+                attn_ops.muls += n_kept;
+                attn_ops.divs += 1;
+            }
         });
 
     // Ordered reduction of the per-chunk partials.

@@ -7,8 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <numeric>
+#include <queue>
+#include <string>
+#include <vector>
+
 #include "a3/a3_accel.h"
 #include "a3/a3_attention.h"
+#include "core/backend.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "cta/error.h"
@@ -21,9 +32,12 @@ using cta::a3::A3Config;
 using cta::a3::A3HwConfig;
 using cta::a3::A3Result;
 using cta::a3::SortedKeys;
+using cta::core::Backend;
 using cta::core::Index;
 using cta::core::Matrix;
+using cta::core::Real;
 using cta::core::Rng;
+using cta::core::Wide;
 using cta::nn::AttentionHeadParams;
 using cta::sim::TechParams;
 
@@ -224,6 +238,205 @@ TEST(A3AccelTest, RejectsDegenerateHwConfig)
     EXPECT_DEATH(A3Accelerator(zero_lanes,
                                TechParams::smic40nmClass()),
                  "invalid A3 configuration");
+}
+
+// ---------------------------------------------------------------
+// Reference: A^3 as first written — a per-dimension rank order read
+// back through the key Matrix, per-element Matrix reads in the
+// search and the survivor loop — kept here so the optimized model is
+// held to bit-identical outputs, ratios and OpCounts.
+// ---------------------------------------------------------------
+
+/** order[j * n + r] = key of rank r in dimension j (descending). */
+std::vector<Index>
+referenceRankOrder(const Matrix &k)
+{
+    const Index n = k.rows();
+    std::vector<Index> order(static_cast<std::size_t>(n * k.cols()));
+    for (Index j = 0; j < k.cols(); ++j) {
+        const auto first =
+            order.begin() + static_cast<std::ptrdiff_t>(j * n);
+        std::iota(first, first + n, Index{0});
+        std::sort(first, first + n, [&](Index a, Index b) {
+            return k(a, j) > k(b, j);
+        });
+    }
+    return order;
+}
+
+A3Result
+referenceA3(const Matrix &xq, const Matrix &xkv,
+            const AttentionHeadParams &params, const A3Config &config)
+{
+    A3Result result;
+    result.m = xq.rows();
+    result.n = xkv.rows();
+    const Matrix q = params.wq.forward(xq, &result.linearOps);
+    const Matrix k = params.wk.forward(xkv, &result.linearOps);
+    const Matrix v = params.wv.forward(xkv, &result.linearOps);
+    result.d = q.cols();
+    const Real inv_sqrt_d =
+        1.0f / std::sqrt(static_cast<Real>(result.d));
+    const std::vector<Index> order = referenceRankOrder(k);
+    const auto rank_to_key = [&](Index j, Index rank) {
+        return order[static_cast<std::size_t>(j * result.n + rank)];
+    };
+    const auto rank_to_value = [&](Index j, Index rank) {
+        return k(rank_to_key(j, rank), j);
+    };
+    // Preprocessing charge: n log2(n) comparisons per dimension.
+    result.approxOps.cmps +=
+        static_cast<std::uint64_t>(result.d) *
+        static_cast<std::uint64_t>(result.n) *
+        static_cast<std::uint64_t>(
+            std::ceil(std::log2(std::max<Index>(2, result.n))));
+    const auto keep = std::min<Index>(config.candidates, result.n);
+    result.output = Matrix(result.m, result.d);
+
+    Wide ratio_sum = 0;
+    auto &approx_ops = result.approxOps;
+    auto &attn_ops = result.attnOps;
+    for (const auto &[begin, end] :
+         cta::core::chunkSpans(0, result.m, /*grain=*/8)) {
+        Wide chunk_ratio = 0;
+        std::vector<Real> partial(static_cast<std::size_t>(result.n));
+        std::vector<Index> touched;
+        for (Index i = begin; i < end; ++i) {
+            std::fill(partial.begin(), partial.end(), 0.0f);
+            touched.clear();
+            struct Cursor
+            {
+                Real product;
+                Index dim;
+                Index rank;
+            };
+            const auto cmp = [](const Cursor &a, const Cursor &b) {
+                return a.product < b.product;
+            };
+            std::priority_queue<Cursor, std::vector<Cursor>,
+                                decltype(cmp)>
+                frontier(cmp);
+            for (Index j = 0; j < result.d; ++j) {
+                const Real qj = q(i, j);
+                if (qj == 0)
+                    continue;
+                const Index rank = qj > 0 ? 0 : result.n - 1;
+                frontier.push(Cursor{qj * rank_to_value(j, rank), j, rank});
+            }
+            approx_ops.muls += static_cast<std::uint64_t>(result.d);
+            for (Index round = 0;
+                 round < config.searchRounds && !frontier.empty();
+                 ++round) {
+                const Cursor top = frontier.top();
+                frontier.pop();
+                const Index key = rank_to_key(top.dim, top.rank);
+                if (partial[static_cast<std::size_t>(key)] == 0)
+                    touched.push_back(key);
+                partial[static_cast<std::size_t>(key)] += top.product;
+                approx_ops.adds += 1;
+                approx_ops.cmps += 1;
+                const Real qj = q(i, top.dim);
+                const Index next = qj > 0 ? top.rank + 1 : top.rank - 1;
+                if (next >= 0 && next < result.n) {
+                    frontier.push(Cursor{qj * rank_to_value(top.dim, next),
+                                         top.dim, next});
+                    approx_ops.muls += 1;
+                }
+            }
+            std::sort(touched.begin(), touched.end(),
+                      [&](Index a, Index b) {
+                          return partial[static_cast<std::size_t>(a)] >
+                                 partial[static_cast<std::size_t>(b)];
+                      });
+            if (static_cast<Index>(touched.size()) > keep)
+                touched.resize(static_cast<std::size_t>(keep));
+            chunk_ratio += static_cast<Wide>(touched.size()) / result.n;
+            Real score_max = -1e30f;
+            std::vector<Real> scores(touched.size());
+            for (std::size_t t = 0; t < touched.size(); ++t) {
+                Wide dot = 0;
+                for (Index c = 0; c < result.d; ++c)
+                    dot += static_cast<Wide>(q(i, c)) * k(touched[t], c);
+                scores[t] = static_cast<Real>(dot) * inv_sqrt_d;
+                score_max = std::max(score_max, scores[t]);
+            }
+            attn_ops.macs +=
+                touched.size() * static_cast<std::uint64_t>(result.d);
+            Wide denom = 0;
+            for (auto &sc : scores) {
+                sc = std::exp(sc - score_max);
+                denom += sc;
+            }
+            attn_ops.exps += touched.size();
+            attn_ops.adds += 2 * touched.size();
+            const Real inv_denom = static_cast<Real>(1.0 / denom);
+            for (std::size_t t = 0; t < touched.size(); ++t) {
+                const Real p = scores[t] * inv_denom;
+                for (Index c = 0; c < result.d; ++c)
+                    result.output(i, c) += p * v(touched[t], c);
+            }
+            attn_ops.muls += touched.size();
+            attn_ops.macs +=
+                touched.size() * static_cast<std::uint64_t>(result.d);
+            attn_ops.divs += 1;
+        }
+        ratio_sum += chunk_ratio;
+    }
+    result.candidateRatio = static_cast<Real>(ratio_sum / result.m);
+    return result;
+}
+
+TEST(SortedKeysTest, MatchesReferenceRankOrder)
+{
+    // Ties included: rounding keys to a coarse grid makes equal
+    // components common, and the order must still be the reference
+    // sort's, value for value.
+    Rng rng(9);
+    Matrix k = Matrix::randomNormal(90, 12, rng);
+    for (Index e = 0; e < k.size(); e += 3)
+        k.data()[e] = std::round(k.data()[e] * 2.0f) / 2.0f;
+    const SortedKeys sorted(k);
+    const std::vector<Index> order = referenceRankOrder(k);
+    for (Index j = 0; j < k.cols(); ++j) {
+        for (Index r = 0; r < k.rows(); ++r) {
+            const Index key = order[static_cast<std::size_t>(
+                j * k.rows() + r)];
+            EXPECT_EQ(sorted.rankToKey(j, r), key);
+            EXPECT_EQ(sorted.rankToValue(j, r), k(key, j));
+        }
+    }
+}
+
+TEST(A3ReferenceTest, BitIdenticalToReferenceUnderEveryBackend)
+{
+    Fixture fx(200);
+    for (const std::string spec : {"naive", "simd:1", "simd:8"}) {
+        const auto backend = cta::core::makeBackend(spec);
+        Backend *previous = cta::core::setActiveBackend(backend.get());
+        for (const auto &[rounds, candidates] :
+             {std::pair<Index, Index>{16, 8}, {64, 32}, {400, 300}}) {
+            A3Config config;
+            config.searchRounds = rounds;
+            config.candidates = candidates;
+            const A3Result got =
+                a3Attention(fx.tokens, fx.tokens, fx.params, config);
+            const A3Result want =
+                referenceA3(fx.tokens, fx.tokens, fx.params, config);
+            const std::string where = spec + " rounds=" +
+                                      std::to_string(rounds);
+            EXPECT_EQ(std::memcmp(got.output.data(), want.output.data(),
+                                  static_cast<std::size_t>(
+                                      got.output.size()) *
+                                      sizeof(Real)),
+                      0)
+                << where;
+            EXPECT_EQ(got.candidateRatio, want.candidateRatio) << where;
+            EXPECT_EQ(got.approxOps, want.approxOps) << where;
+            EXPECT_EQ(got.attnOps, want.attnOps) << where;
+            EXPECT_EQ(got.linearOps, want.linearOps) << where;
+        }
+        cta::core::setActiveBackend(previous);
+    }
 }
 
 } // namespace

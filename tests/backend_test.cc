@@ -3,7 +3,8 @@
  * Parity tests for the compute-backend layer (core/backend.h): the
  * SimdBackend's gemm must be bit-identical across thread counts and
  * its gemmTransposedB, reduceRows and row maps bit-identical to
- * NaiveBackend at every thread count, OpCounts must not depend on the
+ * NaiveBackend at every thread count (gemmTransposedB also at every
+ * SIMD level and on special values), OpCounts must not depend on the
  * installed backend, and the end-to-end CTA pipeline must produce
  * thread-count-invariant results and identical op accounting
  * whichever backend runs it.
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "core/matrix.h"
 #include "core/op_counter.h"
 #include "core/rng.h"
+#include "core/simd.h"
 #include "cta/compressed_attention.h"
 #include "nn/attention.h"
 #include "nn/workload.h"
@@ -38,6 +41,7 @@ using cta::core::Real;
 using cta::core::Rng;
 using cta::core::setActiveBackend;
 using cta::core::SimdBackend;
+using cta::core::SimdLevel;
 using cta::core::Wide;
 
 /** RAII guard restoring the previously active backend. */
@@ -53,6 +57,33 @@ class ScopedBackend
   private:
     Backend *previous_;
 };
+
+/** RAII guard restoring the previously forced SIMD level. */
+class ScopedSimdLevel
+{
+  public:
+    explicit ScopedSimdLevel(SimdLevel level)
+        : previous_(cta::core::setSimdLevel(level))
+    {
+    }
+    ~ScopedSimdLevel() { cta::core::setSimdLevel(previous_); }
+
+  private:
+    SimdLevel previous_;
+};
+
+/** Every SIMD level this host can run, scalar first. */
+std::vector<SimdLevel>
+supportedSimdLevels()
+{
+    std::vector<SimdLevel> levels;
+    for (const SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2,
+                                  SimdLevel::Avx512, SimdLevel::Neon}) {
+        if (cta::core::simdLevelSupported(level))
+            levels.push_back(level);
+    }
+    return levels;
+}
 
 bool
 bitIdentical(const Matrix &a, const Matrix &b)
@@ -102,22 +133,107 @@ TEST(BackendParityTest, GemmBitIdenticalAcrossThreadCounts)
     }
 }
 
+/** Transposed-B shapes (m x k times (n x k)^T) beyond kShapes: above
+ *  the serial cutover (4M MACs) so the pooled panel partition runs,
+ *  column tails of 1..15 past the 16-wide panel, row tails past every
+ *  micro-kernel height, a row block boundary (128) and m = 1. */
+const std::vector<GemmShape> kTransBShapes = {
+    {300, 64, 301}, {512, 64, 512}, {1, 64, 33},  {1, 7, 1},
+    {2, 9, 17},     {3, 64, 15},    {5, 3, 16},   {9, 1, 31},
+    {13, 40, 47},   {129, 17, 18},  {4, 0, 5},
+};
+
+/** N(0, 1) entries with every 5th replaced, in turn, by +-0,
+ *  +-inf, denormals and magnitudes near the float range. */
+Matrix
+specialValueMatrix(Index rows, Index cols, Rng &rng)
+{
+    const Real inf = std::numeric_limits<Real>::infinity();
+    const Real denorm = std::numeric_limits<Real>::denorm_min();
+    const std::vector<Real> palette = {
+        0.0f,      -0.0f,    inf,         -inf,   denorm,
+        -denorm,   1e-40f,   -3e-39f,     3e38f,  -3.4e38f,
+        1.5e19f,   -2e-19f,  1e-30f,      7e30f,
+    };
+    Matrix x = Matrix::randomNormal(rows, cols, rng);
+    std::size_t next = 0;
+    for (Index e = 0; e < x.size(); e += 5) {
+        x.data()[e] = palette[next];
+        next = (next + 1) % palette.size();
+    }
+    return x;
+}
+
+/**
+ * Rows whose second half cancels the first: entry k of the first half
+ * is +-2^e (e in [10, 30]), entry K-1-k its negation plus a small
+ * N(0, 2^-20) residue. Against a B of ones the Wide partial sums reach
+ * ~2^31 before cancelling to the residues, so the rounding of every
+ * step reaches the float result: any change to the chain's order or
+ * its intermediate roundings shows in the output bits.
+ */
+Matrix
+cancellingMatrix(Index rows, Index cols, Rng &rng)
+{
+    Matrix x(rows, cols);
+    for (Index i = 0; i < rows; ++i) {
+        Real *row = x.row(i).data();
+        for (Index k = 0; k < cols / 2; ++k) {
+            const Real big = std::ldexp(
+                rng.normal() > 0 ? 1.0f : -1.0f,
+                10 + static_cast<int>(rng.uniform() * 21));
+            row[k] = big;
+            row[cols - 1 - k] =
+                -big + std::ldexp(rng.normal(), -20);
+        }
+        if (cols % 2 == 1)
+            row[cols / 2] = rng.normal();
+    }
+    return x;
+}
+
 TEST(BackendParityTest, GemmTransposedBBitIdenticalAcrossThreadCounts)
 {
+    // The Wide-chain panel kernel against the naive reference at
+    // every ISA level and thread count: on random values, on special
+    // values (where a product overflows float, underflows to a
+    // denormal or meets inf * 0, the cast must still agree), and on
+    // cancelling rows, where only the exact chain order reproduces
+    // the bits.
     NaiveBackend naive;
-    Rng rng(11);
-    for (const auto &[m, k, n] : kShapes) {
-        const Matrix a = Matrix::randomNormal(m, k, rng);
-        const Matrix b = Matrix::randomNormal(n, k, rng);
-        Matrix ref(m, n);
-        naive.gemmTransposedB(a, b, ref);
-        for (const int threads : {1, 2, 8}) {
-            SimdBackend simd(threads);
-            Matrix out(m, n);
-            simd.gemmTransposedB(a, b, out);
-            EXPECT_TRUE(bitIdentical(out, ref))
-                << "gemmTransB " << m << "x" << k << "x" << n
-                << " with " << threads << " threads";
+    Rng rng(13);
+    std::vector<GemmShape> shapes = kShapes;
+    shapes.insert(shapes.end(), kTransBShapes.begin(),
+                  kTransBShapes.end());
+    enum class Input { Random, Special, Cancelling };
+    for (const auto &[m, k, n] : shapes) {
+        for (const Input input :
+             {Input::Random, Input::Special, Input::Cancelling}) {
+            const Matrix a = input == Input::Random
+                                 ? Matrix::randomNormal(m, k, rng)
+                             : input == Input::Special
+                                 ? specialValueMatrix(m, k, rng)
+                                 : cancellingMatrix(m, k, rng);
+            const Matrix b = input == Input::Random
+                                 ? Matrix::randomNormal(n, k, rng)
+                             : input == Input::Special
+                                 ? specialValueMatrix(n, k, rng)
+                                 : Matrix(n, k, 1.0f);
+            Matrix ref(m, n);
+            naive.gemmTransposedB(a, b, ref);
+            for (const SimdLevel level : supportedSimdLevels()) {
+                ScopedSimdLevel level_guard(level);
+                for (const int threads : {1, 2, 8}) {
+                    SimdBackend simd(threads);
+                    Matrix out(m, n);
+                    simd.gemmTransposedB(a, b, out);
+                    EXPECT_TRUE(bitIdentical(out, ref))
+                        << "gemmTransB " << m << "x" << k << "x" << n
+                        << " input " << static_cast<int>(input) << " at "
+                        << cta::core::simdLevelName(level) << " with "
+                        << threads << " threads";
+                }
+            }
         }
     }
 }
