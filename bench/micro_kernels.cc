@@ -4,8 +4,9 @@
  * times the naive reference and the simd backend at 1, 2, 4 and 8
  * threads over 128^3, 256^3 and 512^3, prints each point's fraction
  * of the measured single-thread FMA peak, times the transposed-B
- * score kernel (naive vs simd:1 at 512 x 64 x 512 and
- * 2048 x 64 x 2048), and writes the results to
+ * score kernel (naive vs simd:1 at 512 x 64 x 512, 2048 x 64 x 2048
+ * and the single decode row 1 x 64 x 2048, plus that row's 4-chain
+ * route against the forced panel kernel), and writes the results to
  * BENCH_micro_kernels.json. Exits 1 when the thread-scaling gate
  * fails (simd:8 losing to simd:1 beyond noise at any size).
  *
@@ -84,20 +85,20 @@ timeGemm(cta::core::Backend &backend, Index n)
 
 /**
  * Re-times a (baseline, candidate) pair with alternating back-to-back
- * calls of @p call (each preceded by an untimed @p reset) and returns
- * best-of GFLOP/s for each, given @p flops per call. The sweep measures the
+ * calls of @p base and @p cand (each preceded by an untimed @p reset)
+ * and returns best-of GFLOP/s for each, given @p flops per call. The sweep measures the
  * two configs seconds apart, where sustained clock drift (turbo
  * decay, a noisy co-tenant) can skew either side by 20%+; alternating
  * single calls exposes both to the same machine state, so the gate
  * only fails on genuine scaling regressions.
  */
-template <typename Reset, typename Call>
+template <typename Reset, typename Base, typename Cand>
 std::pair<double, double>
-retimePair(cta::core::Backend &base, cta::core::Backend &cand,
-           double flops, const Reset &reset, const Call &call)
+retimePair(double flops, const Reset &reset, const Base &base,
+           const Cand &cand)
 {
-    call(base);
-    call(cand);
+    base();
+    cand();
     // One side's turn: a short block of consecutive calls, best-of.
     // A single alternated call would hand each kernel the OTHER
     // kernel's cache leavings (the blocked and packed kernels walk B
@@ -106,12 +107,12 @@ retimePair(cta::core::Backend &base, cta::core::Backend &cand,
     // drift this function exists to cancel. Returns the block's best
     // single-call time and its total wall time.
     constexpr int kCallsPerRound = 3;
-    const auto turn = [&](cta::core::Backend &backend) {
+    const auto turn = [&](const auto &call) {
         double best = 1e30, total = 0;
         for (int rep = 0; rep < kCallsPerRound; ++rep) {
             reset();
             const auto t0 = std::chrono::steady_clock::now();
-            call(backend);
+            call();
             const auto t1 = std::chrono::steady_clock::now();
             const double s =
                 std::chrono::duration<double>(t1 - t0).count();
@@ -170,9 +171,8 @@ retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
     const Matrix b = Matrix::randomNormal(n, n, rng);
     Matrix c(n, n);
     return retimePair(
-        base, cand, 2.0 * static_cast<double>(n) * n * n,
-        [&] { c.fill(0); },
-        [&](cta::core::Backend &backend) { backend.gemm(a, b, c); });
+        2.0 * static_cast<double>(n) * n * n, [&] { c.fill(0); },
+        [&] { base.gemm(a, b, c); }, [&] { cand.gemm(a, b, c); });
 }
 
 /** retimePair() over C = A * B^T with A m x k and B n x k — the
@@ -186,9 +186,32 @@ retimeTransBPair(cta::core::Backend &base, cta::core::Backend &cand,
     const Matrix b = Matrix::randomNormal(n, k, rng);
     Matrix c(m, n);
     return retimePair(
-        base, cand, 2.0 * static_cast<double>(m) * k * n, [] {},
-        [&](cta::core::Backend &backend) {
-            backend.gemmTransposedB(a, b, c);
+        2.0 * static_cast<double>(m) * k * n, [] {},
+        [&] { base.gemmTransposedB(a, b, c); },
+        [&] { cand.gemmTransposedB(a, b, c); });
+}
+
+/**
+ * retimePair() over the single-row fork of SimdBackend's
+ * gemmTransposedB at 1 x k x n: the routed call (the 4-chain
+ * kernel) against the panel kernel forced on the same operands,
+ * pack included. Returns {routed, panel} GFLOP/s.
+ */
+std::pair<double, double>
+retimeTransBSingleRowFork(cta::core::Backend &simd1, Index k, Index n)
+{
+    Rng rng(23);
+    const Matrix a = Matrix::randomNormal(1, k, rng);
+    const Matrix b = Matrix::randomNormal(n, k, rng);
+    Matrix c(1, n);
+    return retimePair(
+        2.0 * static_cast<double>(k) * n, [] {},
+        [&] { simd1.gemmTransposedB(a, b, c); },
+        [&] {
+            cta::core::SimdTransBPack pack;
+            cta::core::simdPackTransB(a, b, pack);
+            cta::core::simdGemmTransBPanels(pack, c, 0,
+                                            pack.panelCount());
         });
 }
 
@@ -336,8 +359,10 @@ gemmSweep()
                 simd512 / naive512);
 
     // Transposed-B score passes (Q . K^T at head dimension 64): the
-    // naive Wide chain against the simd panel kernel on one thread,
-    // each size a back-to-back pair. Both compute the same bits.
+    // naive Wide chain against the simd kernel on one thread, each
+    // shape a back-to-back pair. Both compute the same bits. The
+    // 1 x 64 x 2048 row is a single decode query (exactStep), which
+    // SimdBackend routes to its 4-chain kernel instead of the panels.
     struct TransBPoint
     {
         Index m, k, n;
@@ -346,19 +371,29 @@ gemmSweep()
     std::vector<TransBPoint> transb;
     std::printf("\n==== transposed-B GEMM (C = A * B^T): naive vs "
                 "simd:1 ====\n\n");
-    for (const Index n : {512, 2048}) {
+    const std::pair<Index, Index> transb_shapes[] = {
+        {512, 512}, {2048, 2048}, {1, 2048}};
+    for (const auto &[m, n] : transb_shapes) {
         const auto [g_naive, g_simd] =
             retimeTransBPair(backendByName("naive", 1),
-                             backendByName("simd[", 1), n, 64, n);
-        transb.push_back({n, 64, n, g_naive, g_simd});
+                             backendByName("simd[", 1), m, 64, n);
+        transb.push_back({m, 64, n, g_naive, g_simd});
         std::printf("  %4lld x 64 x %-4lld naive %7.2f GFLOP/s  simd:1 "
                     "%7.2f GFLOP/s (%5.1f%% of peak)  %.2fx\n",
-                    static_cast<long long>(n),
+                    static_cast<long long>(m),
                     static_cast<long long>(n), g_naive, g_simd,
                     100.0 * g_simd / peak, g_simd / g_naive);
     }
     const double transb512 =
         transb.front().simdGflops / transb.front().naiveGflops;
+    // The single-row fork: the routed 4-chain kernel against the
+    // panel kernel forced at the same shape. The fork earns its
+    // place only while this ratio stays above 1.
+    const auto [g_routed, g_panel] = retimeTransBSingleRowFork(
+        backendByName("simd[", 1), 64, 2048);
+    std::printf("  1 x 64 x 2048 single-row fork: 4-chain %7.2f vs "
+                "panel kernel %7.2f GFLOP/s  %.2fx\n",
+                g_routed, g_panel, g_routed / g_panel);
 
     std::FILE *out = std::fopen("BENCH_micro_kernels.json", "w");
     if (!out) {
@@ -372,12 +407,13 @@ gemmSweep()
                  "  \"simd_level\": \"%s\",\n"
                  "  \"speedup_512_simd_vs_naive\": %.3f,\n"
                  "  \"speedup_transb_512_simd_vs_naive\": %.3f,\n"
+                 "  \"speedup_transb_m1_4chain_vs_panel\": %.3f,\n"
                  "  \"scaling_ok\": %s,\n"
                  "  \"transb_results\": [\n",
                  peak,
                  cta::core::simdLevelName(
                      cta::core::activeSimdLevel()),
-                 simd512 / naive512, transb512,
+                 simd512 / naive512, transb512, g_routed / g_panel,
                  scaling_ok ? "true" : "false");
     for (std::size_t i = 0; i < transb.size(); ++i) {
         const auto &p = transb[i];

@@ -68,44 +68,43 @@ gemmTransBRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 /**
- * Blocked A * B^T for a few rows of A: 4 B rows share one pass over
- * the A row, turning the latency-bound single accumulator chain into
- * 4 independent chains. Each output element keeps one accumulator
- * with k ascending — bit-identical to gemmTransBRowsNaive.
+ * A * B^T for a single row of A: 4 B rows share one pass over the A
+ * row, turning the latency-bound single accumulator chain into 4
+ * independent chains. Each output element keeps one accumulator with
+ * k ascending — bit-identical to gemmTransBRowsNaive.
  */
 void
-gemmTransBRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c)
+gemmTransBSingleRow(const Matrix &a, const Matrix &b, Matrix &c)
 {
     const Index depth = a.cols();
     const Index n = b.rows();
-    for (Index i = 0; i < a.rows(); ++i) {
-        const Real *arow = a.row(i).data();
-        Index j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const Real *b0 = b.row(j).data();
-            const Real *b1 = b.row(j + 1).data();
-            const Real *b2 = b.row(j + 2).data();
-            const Real *b3 = b.row(j + 3).data();
-            Wide acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-            for (Index k = 0; k < depth; ++k) {
-                const Wide ak = arow[k];
-                acc0 += ak * b0[k];
-                acc1 += ak * b1[k];
-                acc2 += ak * b2[k];
-                acc3 += ak * b3[k];
-            }
-            c(i, j) = static_cast<Real>(acc0);
-            c(i, j + 1) = static_cast<Real>(acc1);
-            c(i, j + 2) = static_cast<Real>(acc2);
-            c(i, j + 3) = static_cast<Real>(acc3);
+    const Real *arow = a.row(0).data();
+    Real *crow = c.row(0).data();
+    Index j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const Real *b0 = b.row(j).data();
+        const Real *b1 = b.row(j + 1).data();
+        const Real *b2 = b.row(j + 2).data();
+        const Real *b3 = b.row(j + 3).data();
+        Wide acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
+        for (Index k = 0; k < depth; ++k) {
+            const Wide ak = arow[k];
+            acc0 += ak * b0[k];
+            acc1 += ak * b1[k];
+            acc2 += ak * b2[k];
+            acc3 += ak * b3[k];
         }
-        for (; j < n; ++j) {
-            const Real *brow = b.row(j).data();
-            Wide acc = 0;
-            for (Index k = 0; k < depth; ++k)
-                acc += static_cast<Wide>(arow[k]) * brow[k];
-            c(i, j) = static_cast<Real>(acc);
-        }
+        crow[j] = static_cast<Real>(acc0);
+        crow[j + 1] = static_cast<Real>(acc1);
+        crow[j + 2] = static_cast<Real>(acc2);
+        crow[j + 3] = static_cast<Real>(acc3);
+    }
+    for (; j < n; ++j) {
+        const Real *brow = b.row(j).data();
+        Wide acc = 0;
+        for (Index k = 0; k < depth; ++k)
+            acc += static_cast<Wide>(arow[k]) * brow[k];
+        crow[j] = static_cast<Real>(acc);
     }
 }
 
@@ -185,12 +184,13 @@ void
 SimdBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
                              Matrix &c) const
 {
-    // Short A (fewer than kSimdMr rows, e.g. a decode step): widening
-    // and packing B would cost as much as the product itself, so the
-    // 4-chain scalar kernel runs it. Same chain per element, so the
-    // routing is invisible.
-    if (a.rows() < kSimdMr) {
-        gemmTransBRowsBlocked(a, b, c);
+    // A single row (exactStep, the per-token decode reference) does
+    // one MAC per widened B element, so the pack costs more than it
+    // saves: the 4-chain kernel is 1.3-2x faster there, the panel
+    // kernel from two rows up (bench/micro_kernels times the m = 1
+    // fork). Same chain per element, so the routing is invisible.
+    if (a.rows() == 1) {
+        gemmTransBSingleRow(a, b, c);
         return;
     }
     // Pack once per call; pool tasks then split the OUTPUT COLUMNS

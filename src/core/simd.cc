@@ -963,15 +963,11 @@ vecMatRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
 // by one k step each. A float x float product is exact in double
 // (24 + 24 significand bits < 53), so fma(a, b, acc) rounds exactly
 // like acc + a * b: every level below, and the scalar mul-then-add
-// fallback, is bit-identical to the reference.
+// fallback, is bit-identical to the reference. There is no NEON
+// kernel yet; aarch64 runs the scalar fallback.
 // ---------------------------------------------------------------
 
 constexpr Index kTP = kSimdTransBPanel;
-
-/** Rows of A per cache block: 128 widened rows (64 KB at K = 64)
- *  stay L2-resident while every panel of the task passes over them,
- *  so A is streamed once per block instead of once per panel. */
-constexpr Index kTransBRowBlock = 128;
 
 /** Computes @p rows output rows of one panel: c[r * ldc + t] for
  *  t < @p lanes from widened A rows a[r * depth ..]. */
@@ -1011,23 +1007,17 @@ transBRowsScalar(const Wide *a, Index rows, Index depth,
     }
 }
 
-/** The shared loop nest: row blocks outer, the task's panels inner,
- *  @p rows_fn over each (block, panel) tile. */
+/** The shared loop nest: @p rows_fn over every row of each of the
+ *  task's panels. */
 void
 transBPanels(const SimdTransBPack &pack, Matrix &c, Index panel_begin,
              Index panel_end, TransBRowsFn rows_fn)
 {
-    const Index depth = pack.depth;
-    const Index ldc = pack.cols;
-    for (Index i0 = 0; i0 < pack.rows; i0 += kTransBRowBlock) {
-        const Index rows = std::min(kTransBRowBlock, pack.rows - i0);
-        for (Index p = panel_begin; p < panel_end; ++p) {
-            const Index j0 = p * kTP;
-            rows_fn(pack.a.data() + i0 * depth, rows, depth,
-                    pack.panels.data() + p * depth * kTP,
-                    c.data() + i0 * ldc + j0, ldc,
-                    std::min(kTP, pack.cols - j0));
-        }
+    for (Index p = panel_begin; p < panel_end; ++p) {
+        const Index j0 = p * kTP;
+        rows_fn(pack.a.data(), pack.rows, pack.depth,
+                pack.panels.data() + p * pack.depth * kTP,
+                c.data() + j0, pack.cols, std::min(kTP, pack.cols - j0));
     }
 }
 
@@ -1144,58 +1134,6 @@ transBRowsAvx2(const Wide *a, Index rows, Index depth, const Wide *panel,
 }
 
 #endif // CTA_SIMD_X86
-
-#if CTA_SIMD_NEON
-
-/** R rows x kTP columns on NEON: 8R float64x2 chains (R <= 2 keeps
- *  the eight panel vectors in the 32-register file). */
-template <int R>
-void
-transBMicroNeon(const Wide *a, Index depth, const Wide *panel, Real *c,
-                Index ldc, Index lanes)
-{
-    float64x2_t acc[R][8];
-#pragma GCC unroll 16
-    for (int r = 0; r < R; ++r)
-        for (int g = 0; g < 8; ++g)
-            acc[r][g] = vdupq_n_f64(0.0);
-    for (Index k = 0; k < depth; ++k) {
-        const Wide *bk = panel + k * kTP;
-        float64x2_t b[8];
-#pragma GCC unroll 8
-        for (int g = 0; g < 8; ++g)
-            b[g] = vld1q_f64(bk + 2 * g);
-#pragma GCC unroll 16
-        for (int r = 0; r < R; ++r) {
-            const float64x2_t av = vdupq_n_f64(a[r * depth + k]);
-#pragma GCC unroll 8
-            for (int g = 0; g < 8; ++g)
-                acc[r][g] = vfmaq_f64(acc[r][g], av, b[g]);
-        }
-    }
-#pragma GCC unroll 16
-    for (int r = 0; r < R; ++r) {
-        Wide tmp[kTP];
-        for (int g = 0; g < 8; ++g)
-            vst1q_f64(tmp + 2 * g, acc[r][g]);
-        storeWideRow(tmp, c + r * ldc, lanes);
-    }
-}
-
-void
-transBRowsNeon(const Wide *a, Index rows, Index depth, const Wide *panel,
-               Real *c, Index ldc, Index lanes)
-{
-    Index r = 0;
-    for (; r + 2 <= rows; r += 2)
-        transBMicroNeon<2>(a + r * depth, depth, panel, c + r * ldc, ldc,
-                           lanes);
-    for (; r < rows; ++r)
-        transBMicroNeon<1>(a + r * depth, depth, panel, c + r * ldc, ldc,
-                           lanes);
-}
-
-#endif // CTA_SIMD_NEON
 
 // ---------------------------------------------------------------
 // Register-resident FMA peak loops (roofline ceiling). 16
@@ -1696,11 +1634,6 @@ simdGemmTransBPanels(const SimdTransBPack &pack, Matrix &c,
         break;
     case SimdLevel::Avx2:
         rows_fn = transBRowsAvx2;
-        break;
-#endif
-#if CTA_SIMD_NEON
-    case SimdLevel::Neon:
-        rows_fn = transBRowsNeon;
         break;
 #endif
     default:

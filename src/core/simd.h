@@ -193,8 +193,9 @@ void simdPackTransB(const Matrix &a, const Matrix &b,
  * C = A * B^T over the output columns of panels
  * [@p panel_begin, @p panel_end), all rows. Each element is ONE Wide
  * chain, k ascending from +0, cast to Real once — the naive
- * reference's chain. The vector levels run kSimdTransBPanel chains
- * side by side across output columns; a float x float product is
+ * reference's chain. The AVX-512 and AVX2 levels run
+ * kSimdTransBPanel chains side by side across output columns (NEON
+ * runs the scalar fallback); a float x float product is
  * exact in Wide, so their fused multiply-add rounds exactly like the
  * reference's multiply-then-add. The result is therefore bit-identical
  * to the naive kernel at every ISA level, panel partition and thread
