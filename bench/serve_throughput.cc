@@ -7,7 +7,8 @@
  * to `context` tokens, then decodes a fixed number of steps per
  * session through Batcher::flush (one token per session per round),
  * reporting wall-clock throughput (tokens/s across the batch) and the
- * per-step latency distribution (p50/p95/p99 from ServerStats).
+ * distribution of the per-round flush() latency it times (mean and
+ * nearest-rank p50/p95/p99).
  * The grid runs once untimed (page faults, pool spin-up, cold
  * caches) and then kRepetitions times, round-robin, on fresh
  * sessions; each reported figure is the median over a point's timed
@@ -17,9 +18,9 @@
  * The point of the serving layer is that per-step cost is sub-linear
  * in context length — appending a token touches O(l*d) compression
  * state and O((k1+k2)*d) attention state, never the whole context —
- * so the headline number is the mean-step-time growth from the
- * shortest to the longest context, which must stay far below the
- * context ratio itself.
+ * so the headline number is the growth of the batch-1 mean round
+ * time (one round = one step) from the shortest to the longest
+ * context, which must stay far below the context ratio itself.
  *
  * Results go to BENCH_serve_throughput.json. `--smoke` shrinks the
  * grid so CI can validate the JSON schema in well under a second.
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -70,11 +72,23 @@ struct ServePoint
     Index steps = 0;           ///< decode steps per session
     double wallSeconds = 0;    ///< total flush wall time
     double tokensPerSecond = 0;///< batch tokens / wall time
-    double meanStepMs = 0;
-    double p50StepMs = 0;
-    double p95StepMs = 0;
-    double p99StepMs = 0;
+    double meanRoundMs = 0;    ///< one round = one flush()
+    double p50RoundMs = 0;
+    double p95RoundMs = 0;
+    double p99RoundMs = 0;
 };
+
+/** Nearest-rank @p p-th percentile of @p values (non-empty). */
+double
+percentile(std::vector<double> values, double p)
+{
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(values.size())));
+    const auto nth = values.begin() +
+                     static_cast<std::ptrdiff_t>(rank > 0 ? rank - 1 : 0);
+    std::nth_element(values.begin(), nth, values.end());
+    return *nth;
+}
 
 /** One pass of a grid point on freshly prefilled sessions. */
 ServePoint
@@ -92,6 +106,7 @@ runPass(const cta::nn::AttentionHeadParams &params, Index batch,
     const Matrix decode =
         clusteredTokens(steps, 999 + static_cast<std::uint64_t>(batch));
 
+    std::vector<double> round_ms;
     double wall = 0;
     for (Index s = 0; s < steps; ++s) {
         for (Index b = 0; b < batch; ++b)
@@ -101,10 +116,12 @@ runPass(const cta::nn::AttentionHeadParams &params, Index batch,
         const auto t1 = std::chrono::steady_clock::now();
         if (static_cast<Index>(results.size()) != batch)
             std::fprintf(stderr, "short flush!\n");
-        wall += std::chrono::duration<double>(t1 - t0).count();
+        const double seconds =
+            std::chrono::duration<double>(t1 - t0).count();
+        round_ms.push_back(seconds * 1e3);
+        wall += seconds;
     }
 
-    const auto stats = batcher.stats().snapshot();
     ServePoint point;
     point.batch = batch;
     point.context = context;
@@ -114,21 +131,11 @@ runPass(const cta::nn::AttentionHeadParams &params, Index batch,
     // not print inf/NaN into the JSON.
     point.tokensPerSecond =
         wall > 0 ? static_cast<double>(batch * steps) / wall : 0;
-    point.meanStepMs = stats.meanSeconds * 1e3;
-    point.p50StepMs = stats.p50Seconds * 1e3;
-    point.p95StepMs = stats.p95Seconds * 1e3;
-    point.p99StepMs = stats.p99Seconds * 1e3;
+    point.meanRoundMs = wall * 1e3 / static_cast<double>(steps);
+    point.p50RoundMs = percentile(round_ms, 50);
+    point.p95RoundMs = percentile(round_ms, 95);
+    point.p99RoundMs = percentile(round_ms, 99);
     return point;
-}
-
-/** Median of @p values (upper median for an even count). */
-double
-median(std::vector<double> values)
-{
-    const auto mid = values.begin() +
-                     static_cast<std::ptrdiff_t>(values.size() / 2);
-    std::nth_element(values.begin(), mid, values.end());
-    return *mid;
 }
 
 /** Per-field median of one grid point's timed passes. */
@@ -139,15 +146,15 @@ medianPoint(const std::vector<ServePoint> &passes)
         std::vector<double> values;
         for (const auto &pass : passes)
             values.push_back(pass.*field);
-        return median(values);
+        return percentile(values, 50);
     };
     ServePoint point = passes.front();
     point.wallSeconds = medianOf(&ServePoint::wallSeconds);
     point.tokensPerSecond = medianOf(&ServePoint::tokensPerSecond);
-    point.meanStepMs = medianOf(&ServePoint::meanStepMs);
-    point.p50StepMs = medianOf(&ServePoint::p50StepMs);
-    point.p95StepMs = medianOf(&ServePoint::p95StepMs);
-    point.p99StepMs = medianOf(&ServePoint::p99StepMs);
+    point.meanRoundMs = medianOf(&ServePoint::meanRoundMs);
+    point.p50RoundMs = medianOf(&ServePoint::p50RoundMs);
+    point.p95RoundMs = medianOf(&ServePoint::p95RoundMs);
+    point.p99RoundMs = medianOf(&ServePoint::p99RoundMs);
     return point;
 }
 
@@ -172,11 +179,12 @@ main(int argc, char **argv)
     const auto params = cta::nn::AttentionHeadParams::randomInit(
         kTokenDim, kHeadDim, rng);
 
-    std::printf("==== serve throughput: batch x context (median of "
-                "%d passes after a warm-up) ====\n\n",
+    std::printf("==== serve throughput: batch x context, per-round "
+                "flush latency (median of %d passes after a warm-up) "
+                "====\n\n",
                 kRepetitions);
     std::printf("  %5s %8s %6s %10s %9s %9s %9s\n", "batch", "context",
-                "steps", "tok/s", "p50 ms", "p95 ms", "p99 ms");
+                "rounds", "tok/s", "p50 ms", "p95 ms", "p99 ms");
     // Repetitions run round-robin over the grid, so the passes of one
     // point are spread over the whole run instead of sharing one
     // stretch of host state (clock, co-tenants) back to back. Pass 0
@@ -205,28 +213,29 @@ main(int argc, char **argv)
                     static_cast<long long>(p.batch),
                     static_cast<long long>(p.context),
                     static_cast<long long>(p.steps), p.tokensPerSecond,
-                    p.p50StepMs, p.p95StepMs, p.p99StepMs);
+                    p.p50RoundMs, p.p95RoundMs, p.p99RoundMs);
         points.push_back(p);
     }
 
-    // Headline: mean step time growth from shortest to longest
-    // context at batch = min. Sub-linear serving means this ratio
-    // stays far below the context ratio.
+    // Headline: mean round time growth from shortest to longest
+    // context at batch = min (1 in both grids, so a round is one
+    // step). Sub-linear serving means this ratio stays far below the
+    // context ratio.
     double mean_short = 0, mean_long = 0;
     for (const auto &p : points) {
         if (p.batch != batches.front())
             continue;
         if (p.context == contexts.front())
-            mean_short = p.meanStepMs;
+            mean_short = p.meanRoundMs;
         if (p.context == contexts.back())
-            mean_long = p.meanStepMs;
+            mean_long = p.meanRoundMs;
     }
     const double step_growth =
         mean_short > 0 ? mean_long / mean_short : 0;
     const double context_growth =
         static_cast<double>(contexts.back()) /
         static_cast<double>(contexts.front());
-    std::printf("\n  step-time growth %.2fx over a %.0fx context "
+    std::printf("\n  batch-1 round-time growth %.2fx over a %.0fx context "
                 "growth\n",
                 step_growth, context_growth);
 
@@ -255,14 +264,14 @@ main(int argc, char **argv)
             out,
             "    {\"batch\": %lld, \"context\": %lld, "
             "\"steps\": %lld, \"wall_seconds\": %.6e, "
-            "\"tokens_per_second\": %.1f, \"step_mean_ms\": %.4f, "
-            "\"step_p50_ms\": %.4f, \"step_p95_ms\": %.4f, "
-            "\"step_p99_ms\": %.4f}%s\n",
+            "\"tokens_per_second\": %.1f, \"round_mean_ms\": %.4f, "
+            "\"round_p50_ms\": %.4f, \"round_p95_ms\": %.4f, "
+            "\"round_p99_ms\": %.4f}%s\n",
             static_cast<long long>(p.batch),
             static_cast<long long>(p.context),
             static_cast<long long>(p.steps), p.wallSeconds,
-            p.tokensPerSecond, p.meanStepMs, p.p50StepMs, p.p95StepMs,
-            p.p99StepMs, i + 1 < points.size() ? "," : "");
+            p.tokensPerSecond, p.meanRoundMs, p.p50RoundMs, p.p95RoundMs,
+            p.p99RoundMs, i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -49,6 +49,8 @@ struct CtaConfig
     bool subtractRowMax = true;
     /** Seed for sampling the LSH hyperparameters A, B. */
     std::uint64_t seed = 1;
+
+    bool operator==(const CtaConfig &other) const = default;
 };
 
 /** Shape/compression summary of one CTA evaluation. */

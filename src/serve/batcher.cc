@@ -62,6 +62,8 @@ Batcher::Batcher(SessionManager &manager, core::ThreadPool *pool,
       queueCapacity_(resolveQueueCapacity(queue_cap))
 {}
 
+Batcher::~Batcher() = default;
+
 Index
 Batcher::queueCapacityFromEnv()
 {
@@ -83,31 +85,35 @@ Batcher::pool() const
 Index
 Batcher::addSession(std::unique_ptr<DecodeSession> session)
 {
-    CTA_REQUIRE(manager_ == nullptr, "batcher is manager-backed; "
-                "create sessions through the SessionManager");
-    CTA_REQUIRE(session != nullptr, "null session");
+    CTA_REQUIRE(session != nullptr, "cannot add a null session");
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-    sessions_.push_back(std::move(session));
-    removed_.push_back(false);
-    return static_cast<Index>(sessions_.size()) - 1;
+    if (manager_ == nullptr) {
+        // The first session fixes the model. Budget 0 is passed
+        // explicitly: a batcher that owns its sessions never evicts,
+        // whatever CTA_MEM_BUDGET says.
+        ownedManager_ = std::make_unique<SessionManager>(
+            session->params(), session->config(), session->tokenDim(),
+            /*mem_budget_bytes=*/0);
+        manager_ = ownedManager_.get();
+    }
+    return manager_->adoptLiveSession(std::move(session));
 }
 
 Index
 Batcher::forkSession(Index parent)
 {
-    CTA_REQUIRE(manager_ != nullptr,
-                "forkSession requires a manager-backed batcher "
-                "(prefix sharing lives in the SessionManager)");
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
+    CTA_REQUIRE(parent >= 0 && parent < sessionCountLocked(),
+                "session id ", parent, " out of range [0, ",
+                sessionCountLocked(), ")");
     return manager_->forkSession(parent);
 }
 
 Index
 Batcher::sessionCountLocked() const
 {
-    if (manager_)
-        return manager_->sessionCount();
-    return static_cast<Index>(sessions_.size());
+    // manager_ is null only until the first session is added.
+    return manager_ ? manager_->sessionCount() : 0;
 }
 
 Index
@@ -120,11 +126,8 @@ Batcher::sessionCount() const
 bool
 Batcher::sessionUsableLocked(Index id) const
 {
-    if (id < 0 || id >= sessionCountLocked())
-        return false;
-    if (manager_)
-        return manager_->exists(id);
-    return !removed_[static_cast<std::size_t>(id)];
+    // An in-range id means a session was added, so manager_ is set.
+    return id >= 0 && id < sessionCountLocked() && manager_->exists(id);
 }
 
 DecodeSession &
@@ -135,15 +138,7 @@ Batcher::session(Index id)
                 id, " out of range [0, ", sessionCountLocked(), ")");
     CTA_REQUIRE(sessionUsableLocked(id), "session ", id,
                 " was removed; cannot access it");
-    return *resolveLocked(id);
-}
-
-DecodeSession *
-Batcher::resolveLocked(Index id)
-{
-    if (manager_)
-        return &manager_->acquire(id);
-    return sessions_[static_cast<std::size_t>(id)].get();
+    return manager_->acquire(id);
 }
 
 void
@@ -158,12 +153,7 @@ Batcher::removeSession(Index id)
                 id, " out of range [0, ", sessionCountLocked(), ")");
     CTA_REQUIRE(sessionUsableLocked(id), "session ", id,
                 " was already removed");
-    if (manager_) {
-        manager_->removeSession(id);
-    } else {
-        sessions_[static_cast<std::size_t>(id)].reset();
-        removed_[static_cast<std::size_t>(id)] = true;
-    }
+    manager_->removeSession(id);
     // Drop queued steps for the freed session; re-number the
     // submission slots so flush() results stay dense.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -198,8 +188,6 @@ Batcher::recordRejectionLocked(SubmitResult reason)
     case SubmitResult::QueueFull:
         ++rejections_.queueFull;
         CTA_OBS_GAUGE_ADD("serve.rejected.queue_full", 1.0);
-        // Legacy name, kept for existing dashboards/sidecar diffs.
-        CTA_OBS_GAUGE_ADD("serve.queue_rejected", 1.0);
         break;
     case SubmitResult::SessionRemoved:
         ++rejections_.sessionRemoved;
@@ -227,10 +215,10 @@ Batcher::trySubmit(Index session, std::span<const core::Real> token,
                    std::chrono::steady_clock::time_point deadline)
 {
     const auto now = std::chrono::steady_clock::now();
-    // Lifecycle state (the session table / manager slots) is read
-    // under sessionsMutex_ and held through the enqueue, so a
-    // concurrent removeSession cannot slip between the check and the
-    // queue insert (locking order: sessionsMutex_ before mutex_).
+    // Lifecycle state (the manager's slots) is read under
+    // sessionsMutex_ and held through the enqueue, so a concurrent
+    // removeSession cannot slip between the check and the queue
+    // insert (locking order: sessionsMutex_ before mutex_).
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
     // Out-of-range is a caller bug, not load — always fatal. A
     // removed session is a normal race with lifecycle management and
@@ -242,7 +230,7 @@ Batcher::trySubmit(Index session, std::span<const core::Real> token,
         std::lock_guard<std::mutex> lock(mutex_);
         return recordRejectionLocked(SubmitResult::SessionRemoved);
     }
-    if (manager_ && manager_->isQuarantined(session)) {
+    if (manager_->isQuarantined(session)) {
         std::lock_guard<std::mutex> lock(mutex_);
         return recordRejectionLocked(SubmitResult::Corrupted);
     }
@@ -336,17 +324,15 @@ Batcher::beginFlush()
         if (!plan.perSession[s].empty())
             plan.active.push_back(static_cast<Index>(s));
 
-    // Resolve every session serially before fanning out: in managed
-    // mode this is where evicted sessions restore, and keeping the
-    // restores (and the LRU ticks they take) outside the parallel
-    // region keeps eviction decisions thread-count-invariant. A
+    // Resolve every session serially before fanning out: this is
+    // where evicted sessions restore, and keeping the restores (and
+    // the LRU ticks they take) outside the parallel region keeps
+    // eviction decisions thread-count-invariant. A
     // session whose snapshot fails integrity checks resolves to
     // nullptr (quarantined) and its steps come back Corrupted.
     plan.resolved.resize(plan.active.size());
     for (std::size_t t = 0; t < plan.active.size(); ++t)
-        plan.resolved[t] = manager_
-                               ? manager_->tryAcquire(plan.active[t])
-                               : resolveLocked(plan.active[t]);
+        plan.resolved[t] = manager_->tryAcquire(plan.active[t]);
     plan.expired.assign(plan.active.size(), 0);
     plan.corrupted.assign(plan.active.size(), 0);
     return plan;
@@ -409,9 +395,6 @@ Batcher::runPlanTask(FlushPlan &plan, Index t)
             continue;
         }
         core::Matrix out = sess->step(p.token);
-        const auto end = std::chrono::steady_clock::now();
-        stats_.recordStep(
-            std::chrono::duration<double>(end - begin).count());
         plan.results[p.slot] =
             StepResult{p.session, StepStatus::Ok, std::move(out)};
         ++ran;
@@ -422,14 +405,6 @@ Batcher::runPlanTask(FlushPlan &plan, Index t)
 std::vector<StepResult>
 Batcher::finishFlush(FlushPlan &&plan)
 {
-    if (plan.batch.empty()) {
-        if (manager_) {
-            std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-            manager_->enforceBudget();
-        }
-        return std::move(plan.results);
-    }
-
     std::uint64_t expiredTotal = 0;
     for (const std::uint64_t e : plan.expired)
         expiredTotal += e;
@@ -448,14 +423,14 @@ Batcher::finishFlush(FlushPlan &&plan)
         corruptedSteps_ += corruptedTotal;
     }
 
-    if (manager_) {
-        // Recency follows submission order — deterministic for any
-        // thread count — then the budget pass may evict stragglers.
-        std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-        for (const Pending &p : plan.batch)
-            manager_->touch(p.session);
-        manager_->enforceBudget();
-    }
+    // Recency follows submission order — deterministic for any
+    // thread count — then the budget pass may evict stragglers.
+    std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
+    if (manager_ == nullptr) // no session added yet
+        return std::move(plan.results);
+    for (const Pending &p : plan.batch)
+        manager_->touch(p.session);
+    manager_->enforceBudget();
     return std::move(plan.results);
 }
 

@@ -75,6 +75,8 @@ struct ServeConfig
     /** Collapsed-cluster probe floor: k1 == k2 == 1 only trips the
      *  guard once the context is at least this many tokens. */
     core::Index guardMinContext = 4096;
+
+    bool operator==(const ServeConfig &other) const = default;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "core/env.h"
@@ -31,6 +32,24 @@ computeModelBytes(const nn::AttentionHeadParams &params,
              lsh.lsh1.a.memoryBytes() + lsh.lsh1.b.memoryBytes() +
              lsh.lsh2.a.memoryBytes() + lsh.lsh2.b.memoryBytes();
     return bytes;
+}
+
+bool
+bitEqual(const core::Matrix &a, const core::Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) *
+                           sizeof(core::Real)) == 0;
+}
+
+bool
+sameLinear(const nn::Linear &a, const nn::Linear &b)
+{
+    if (!bitEqual(a.weight(), b.weight()) ||
+        a.bias().has_value() != b.bias().has_value())
+        return false;
+    return !a.bias() || bitEqual(*a.bias(), *b.bias());
 }
 
 } // namespace
@@ -93,12 +112,41 @@ SessionManager::createSession(const core::Matrix &tokens)
 }
 
 Index
+SessionManager::adoptLiveSession(std::unique_ptr<DecodeSession> session)
+{
+    CTA_REQUIRE(session != nullptr, "cannot adopt a null session");
+    CTA_REQUIRE(session->tokenDim() == tokenDim_, "adopted session takes "
+                "token dim ", session->tokenDim(), ", manager serves ",
+                tokenDim_);
+    CTA_REQUIRE(session->config() == config_, "adopted session's "
+                "ServeConfig differs from the manager's");
+    const nn::AttentionHeadParams &params = session->params();
+    CTA_REQUIRE(sameLinear(params.wq, params_->wq) &&
+                    sameLinear(params.wk, params_->wk) &&
+                    sameLinear(params.wv, params_->wv),
+                "adopted session's head weights differ from the "
+                "manager's");
+    CTA_REQUIRE(session->prefix() == nullptr, "cannot adopt a forked "
+                "session: its shared prefix belongs to another owner");
+    Slot slot;
+    slot.state = State::Live;
+    slot.live = std::move(session);
+    slot.lastUsed = ++tick_;
+    slots_.push_back(std::move(slot));
+    CTA_OBS_COUNT("serve.manager.created", 1);
+    return static_cast<Index>(slots_.size()) - 1;
+}
+
+Index
 SessionManager::forkSession(Index parent)
 {
     DecodeSession &donor_source = acquire(parent);
     CTA_REQUIRE(!donor_source.fallbackActive(), "session ", parent,
                 " fell back to exact attention; it cannot donate a "
                 "shared prefix");
+    CTA_REQUIRE(donor_source.arena() == arena_, "session ", parent,
+                " was adopted and its pages sit in a private arena; "
+                "it cannot donate a shared prefix");
     const auto next = static_cast<std::int64_t>(prefixes_.size());
     std::shared_ptr<const SharedPrefix> prefix =
         donor_source.sharedPrefix(next);

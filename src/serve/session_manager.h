@@ -141,11 +141,26 @@ class SessionManager
     core::Index createSession(const core::Matrix &tokens);
 
     /**
+     * Adopts a session built outside the manager into a new Live
+     * slot and returns its id. It is priced in residentBytes() like
+     * any live session; its pages stay in its own private arena until
+     * an evict → restore moves it onto this manager's arena and LSH
+     * set (bit-identically: the model is the same). Fatal for a null
+     * session, a forked one (its prefix belongs to another owner),
+     * and one whose token dim, ServeConfig or head weights differ
+     * from the manager's.
+     */
+    core::Index adoptLiveSession(std::unique_ptr<DecodeSession> session);
+
+    /**
      * Creates a session forked from @p parent's current state: the
      * parent's state is frozen as a shared prefix (reused if the
      * parent has not mutated since the last fork) and the child
      * starts bit-identical to it, sharing every state page CoW. The
-     * child's snapshots serialize only its divergence.
+     * child's snapshots serialize only its divergence. Fatal when the
+     * parent's pages sit in a private arena (an adopted session not
+     * yet restored here): pages shared there would escape
+     * residentBytes().
      */
     core::Index forkSession(core::Index parent);
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -92,7 +93,12 @@ runWorkload(ThreadPool *pool)
     EXPECT_EQ(batcher.pendingCount(), steps.rows());
     auto results = batcher.flush();
     EXPECT_EQ(batcher.pendingCount(), 0);
-    EXPECT_EQ(batcher.stats().steps(), steps.rows());
+    EXPECT_EQ(std::count_if(results.begin(), results.end(),
+                            [](const StepResult &r) {
+                                return r.status ==
+                                       cta::serve::StepStatus::Ok;
+                            }),
+              steps.rows());
     return results;
 }
 
@@ -163,11 +169,66 @@ TEST(BatcherTest, MultipleStepsPerSessionStaySequential)
               ref.contextLength());
 }
 
+std::uint64_t
+counterValue(const char *name)
+{
+    for (const auto &[n, v] : cta::obs::counterSnapshot())
+        if (n == name)
+            return v;
+    return 0;
+}
+
 TEST(BatcherTest, FlushWithNothingPendingIsANoop)
 {
+    cta::obs::setTraceEnabled(true);
+    const std::uint64_t flushed = counterValue("serve.flushed");
     Batcher batcher;
     EXPECT_TRUE(batcher.flush().empty());
-    EXPECT_EQ(batcher.stats().steps(), 0);
+    EXPECT_EQ(counterValue("serve.flushed"), flushed);
+    cta::obs::setTraceEnabled(false);
+}
+
+TEST(BatcherTest, OwnedManagerIgnoresMemBudgetEnv)
+{
+    Rng rng(20);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
+    const Matrix steps = sampleTokens(2, kDim, 97);
+
+    // A one-byte budget would evict the LRU session after every
+    // flush; the batcher-owned manager must not read it.
+    setenv("CTA_MEM_BUDGET", "1", 1);
+    Batcher batcher;
+    auto first = makeSession(params, sampleTokens(16, kDim, 96));
+    const DecodeSession *raw = first.get();
+    const Index a = batcher.addSession(std::move(first));
+    const Index b = batcher.addSession(
+        makeSession(params, sampleTokens(16, kDim, 96)));
+    unsetenv("CTA_MEM_BUDGET");
+    batcher.submit(a, steps.row(0));
+    batcher.submit(b, steps.row(1));
+    ASSERT_EQ(batcher.flush().size(), 2u);
+    // Never evicted: still the very object that was added.
+    EXPECT_EQ(&batcher.session(a), raw);
+}
+
+TEST(BatcherDeathTest, AddSessionRejectsAnotherModel)
+{
+    Rng rng(21);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
+    const auto other =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
+    // The first session fixes the model of the batcher's manager.
+    Batcher batcher;
+    const Index id = batcher.addSession(
+        makeSession(params, sampleTokens(16, kDim, 98)));
+    EXPECT_EXIT(batcher.addSession(makeSession(
+                    other, sampleTokens(16, kDim, 98))),
+                ::testing::ExitedWithCode(1), "head weights");
+    // Its pages sit in a private arena, so it cannot donate a prefix.
+    EXPECT_EXIT(batcher.forkSession(id), ::testing::ExitedWithCode(1),
+                "private arena");
 }
 
 TEST(BatcherDeathTest, RejectsUnknownSessionIds)
@@ -443,8 +504,7 @@ TEST(BatcherTest, PerReasonRejectionGaugesSumToCounter)
         gaugeValue("serve.rejected.deadline_expired");
     EXPECT_DOUBLE_EQ(gaugeSum,
                      static_cast<double>(batcher.rejectedSubmits()));
-    // The legacy gauge keeps its historical meaning: QueueFull only.
-    EXPECT_DOUBLE_EQ(gaugeValue("serve.queue_rejected"), 1.0);
+    EXPECT_DOUBLE_EQ(gaugeValue("serve.rejected.queue_full"), 1.0);
 
     cta::obs::setTraceEnabled(false);
 }

@@ -2,14 +2,16 @@
  * @file
  * Tests for SessionManager: byte accounting, LRU eviction under a
  * budget, bit-identical restore through the manager, lifecycle
- * (remove) semantics, env-knob parsing, and the no-livelock
- * guarantee when the budget is smaller than a single session.
+ * (remove) semantics, env-knob parsing, the no-livelock guarantee
+ * when the budget is smaller than a single session, and adoption of
+ * sessions handed in through Batcher::addSession().
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/rng.h"
@@ -232,11 +234,106 @@ TEST(SessionManagerDeathTest, EnvBudgetParsing)
 
 TEST(ManagedBatcherDeathTest, AddSessionDelegatesToManager)
 {
-    // Managed batchers delegate session creation to the manager.
+    // A managed batcher hands added sessions to the manager, which
+    // adopts only sessions of its own model.
     SessionManager manager(headParams(), ServeConfig{}, kDim, 0);
     Batcher batcher(manager);
     EXPECT_EXIT(batcher.addSession(nullptr),
-                ::testing::ExitedWithCode(1), "manager");
+                ::testing::ExitedWithCode(1), "null session");
+    EXPECT_EXIT(manager.adoptLiveSession(nullptr),
+                ::testing::ExitedWithCode(1), "null session");
+
+    Rng rng(5);
+    EXPECT_EXIT(batcher.addSession(std::make_unique<DecodeSession>(
+                    cta::nn::AttentionHeadParams::randomInit(
+                        kDim / 2, kHeadDim, rng),
+                    ServeConfig{}, kDim / 2)),
+                ::testing::ExitedWithCode(1), "token dim");
+    ServeConfig other_config;
+    other_config.cta.seed = 7;
+    EXPECT_EXIT(batcher.addSession(std::make_unique<DecodeSession>(
+                    headParams(), other_config, kDim)),
+                ::testing::ExitedWithCode(1), "ServeConfig");
+    EXPECT_EXIT(batcher.addSession(std::make_unique<DecodeSession>(
+                    headParams(/*seed=*/3), ServeConfig{}, kDim)),
+                ::testing::ExitedWithCode(1), "head weights");
+    DecodeSession donor(headParams(), ServeConfig{}, kDim);
+    EXPECT_EXIT(batcher.addSession(
+                    DecodeSession::forkFrom(donor.sharedPrefix(0))),
+                ::testing::ExitedWithCode(1), "forked");
+
+    // An adopted session's pages sit in its private arena: a fork
+    // would share pages that residentBytes() cannot see.
+    const Index id = batcher.addSession(std::make_unique<DecodeSession>(
+        headParams(), ServeConfig{}, kDim));
+    EXPECT_EXIT(batcher.forkSession(id), ::testing::ExitedWithCode(1),
+                "private arena");
+}
+
+TEST(ManagedBatcherTest, AddedSessionIsPricedAndFlushesLikeItsTwin)
+{
+    const Index prefill = 32, steps = 4;
+    SessionManager manager(headParams(), ServeConfig{}, kDim, 0);
+    const Index made = manager.createSession(sampleTokens(prefill, 610));
+    Batcher batcher(manager);
+
+    auto session = std::make_unique<DecodeSession>(headParams(),
+                                                   ServeConfig{}, kDim);
+    session->prefill(sampleTokens(prefill, 611));
+    const std::size_t before = manager.residentBytes();
+    const std::size_t own = session->stateBytes();
+    const Index id = batcher.addSession(std::move(session));
+    EXPECT_EQ(id, made + 1);
+    EXPECT_TRUE(manager.isLive(id));
+    EXPECT_EQ(manager.residentBytes(), before + own);
+
+    DecodeSession twin(headParams(), ServeConfig{}, kDim);
+    twin.prefill(sampleTokens(prefill, 611));
+    const Matrix decode = sampleTokens(steps, 612);
+    for (Index i = 0; i < steps; ++i) {
+        batcher.submit(made, decode.row(i));
+        batcher.submit(id, decode.row(i));
+        const auto results = batcher.flush();
+        ASSERT_EQ(results.size(), 2u);
+        EXPECT_EQ(results[1].session, id);
+        EXPECT_TRUE(
+            bitIdentical(results[1].output, twin.step(decode.row(i))))
+            << "step " << i;
+    }
+}
+
+TEST(ManagedBatcherTest, AddedSessionSurvivesEvictRestore)
+{
+    const Index prefill = 32, steps = 6;
+    SessionManager manager(headParams(), ServeConfig{}, kDim, 0);
+    Batcher batcher(manager);
+    auto session = std::make_unique<DecodeSession>(headParams(),
+                                                   ServeConfig{}, kDim);
+    session->prefill(sampleTokens(prefill, 620));
+    const Index id = batcher.addSession(std::move(session));
+    EXPECT_NE(batcher.session(id).arena().get(), &manager.arena());
+
+    DecodeSession twin(headParams(), ServeConfig{}, kDim);
+    twin.prefill(sampleTokens(prefill, 620));
+    const Matrix decode = sampleTokens(steps, 621);
+    for (Index i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+            manager.evict(id);
+            ASSERT_TRUE(manager.isEvicted(id));
+        }
+        batcher.submit(id, decode.row(i));
+        const auto results = batcher.flush();
+        ASSERT_EQ(results.size(), 1u);
+        EXPECT_TRUE(
+            bitIdentical(results[0].output, twin.step(decode.row(i))))
+            << "step " << i;
+    }
+    // The restore rebuilt it on the manager's arena and LSH set, so
+    // it is now an ordinary managed session that may donate a prefix.
+    EXPECT_EQ(manager.stats().restores, 1u);
+    EXPECT_EQ(batcher.session(id).arena().get(), &manager.arena());
+    const Index child = batcher.forkSession(id);
+    EXPECT_EQ(batcher.session(child).contextLength(), prefill + steps);
 }
 
 TEST(ManagedBatcherTest, FlushRestoresEvictedSessionsAndEnforces)
